@@ -13,7 +13,9 @@
 //                  config, key metrics, wall-clock and work counters
 //   --trace        attach an obs::TraceSink to the fabric and write
 //                  TRACE_<name>.jsonl (metrics registry + fabric trace)
-// and print deterministic, diff-able text tables.
+// and print deterministic, diff-able text tables.  Numeric values must be
+// plain non-negative numbers that fit their type (--threads at most 1024,
+// --days at most 36500); anything else exits 2 with a one-line message.
 #pragma once
 
 #include <chrono>
@@ -37,6 +39,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tools/cli.hpp"
 #include "traffic/metrics.hpp"
 #include "util/counters.hpp"
 #include "util/table.hpp"
@@ -108,15 +111,15 @@ struct BenchArgs {
       } else if (arg == "--trace") {
         args.trace = true;
       } else if (arg == "--seed" && i + 1 < argc) {
-        args.seed = std::strtoull(argv[++i], nullptr, 10);
+        args.seed = cli::numeric_flag<std::uint64_t>(arg, argv[++i]);
       } else if (arg == "--days" && i + 1 < argc) {
-        args.days = std::strtod(argv[++i], nullptr);
+        args.days = cli::numeric_flag(arg, argv[++i], 36500.0);
       } else if (arg == "--threads" && i + 1 < argc) {
-        args.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+        args.threads = cli::numeric_flag(arg, argv[++i], 1024);
       } else if (arg == "--offered-load" && i + 1 < argc) {
-        args.offered_load_mbps = std::strtod(argv[++i], nullptr);
+        args.offered_load_mbps = cli::numeric_flag<double>(arg, argv[++i]);
       } else if (arg == "--offload-threshold" && i + 1 < argc) {
-        args.offload_threshold = std::strtod(argv[++i], nullptr);
+        args.offload_threshold = cli::numeric_flag<double>(arg, argv[++i]);
       } else if (arg == "--help") {
         std::cout << "flags: --scale {small,paper,full,xl} --small --seed N --days D "
                      "--threads N --offered-load MBPS --offload-threshold U "

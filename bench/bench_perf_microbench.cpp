@@ -53,6 +53,30 @@ void BM_GreatCircle(benchmark::State& state) {
 }
 BENCHMARK(BM_GreatCircle);
 
+void BM_ProbeSegments(benchmark::State& state) {
+  // One Fig. 3 probe path per iteration (local exit route, hand-off walk,
+  // segment catalog, last mile) on the small world, cycling through every
+  // (PoP, prefix) pair.
+  static const auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
+  const auto pops = static_cast<core::PopId>(world->vns().pops().size());
+  const std::size_t prefixes = world->internet().prefixes().size();
+  // Compile every viewpoint's FIB so the loop measures paths, not compiles.
+  for (core::PopId p = 0; p < pops; ++p) {
+    benchmark::DoNotOptimize(world->probe_segments(p, 0, /*include_last_mile=*/true));
+  }
+  core::PopId pop = 0;
+  std::size_t id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(world->probe_segments(pop, id, /*include_last_mile=*/true));
+    if (++pop == pops) {
+      pop = 0;
+      id = (id + 1) % prefixes;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ProbeSegments);
+
 void BM_DecisionSelectBest(benchmark::State& state) {
   std::vector<bgp::Route> candidates;
   util::Rng rng{2};

@@ -209,7 +209,6 @@ class Fabric {
   /// With no sink attached the only cost is a null check per event site.
   void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
   [[nodiscard]] obs::TraceSink* trace() const noexcept { return trace_; }
-  [[nodiscard]] std::uint64_t logical_time() const noexcept { return logical_time_; }
 
   /// Monotonic generation of the Loc-RIB state, bumped by every operation
   /// that can change any router's RIB (announce/withdraw/originate, policy

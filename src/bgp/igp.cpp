@@ -101,12 +101,6 @@ bool IgpTopology::restore_link(RouterId a, RouterId b) {
   return true;
 }
 
-bool IgpTopology::has_link(RouterId a, RouterId b) const noexcept {
-  if (a >= adjacency_.size()) return false;
-  return std::any_of(adjacency_[a].begin(), adjacency_[a].end(),
-                     [&](const Edge& e) { return e.to == b && e.up; });
-}
-
 std::vector<RouterId> IgpTopology::up_neighbors(RouterId id) const {
   std::vector<RouterId> out;
   if (id >= adjacency_.size()) return out;

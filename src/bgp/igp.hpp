@@ -67,9 +67,6 @@ class IgpTopology {
   /// deterministically.
   [[nodiscard]] std::vector<RouterId> shortest_path(RouterId from, RouterId to) const;
 
-  /// True when an *up* link joins a and b.
-  [[nodiscard]] bool has_link(RouterId a, RouterId b) const noexcept;
-
   /// Neighbors of `id` over up links, in insertion order.
   [[nodiscard]] std::vector<RouterId> up_neighbors(RouterId id) const;
 

@@ -543,15 +543,6 @@ DecisionTrace Router::explain(const net::Ipv4Prefix& prefix) const {
   return trace;
 }
 
-const Route* Router::advertised_to_neighbor(NeighborId neighbor,
-                                            const net::Ipv4Prefix& prefix) const noexcept {
-  const SessionKey key{SessionKind::kEbgp, neighbor};
-  const auto table = adj_rib_out_.find(key.packed());
-  if (table == adj_rib_out_.end()) return nullptr;
-  const auto it = table->second.find(prefix);
-  return it == table->second.end() ? nullptr : &it->second;
-}
-
 std::size_t Router::rib_in_size() const noexcept {
   std::size_t total = 0;
   for (const auto& [key, table] : adj_rib_in_) {

@@ -204,18 +204,14 @@ class Router {
   /// until called (the forwarding path stores nothing extra).
   [[nodiscard]] DecisionTrace explain(const net::Ipv4Prefix& prefix) const;
   [[nodiscard]] const LocRib& loc_rib() const noexcept { return loc_rib_; }
-  /// Last route advertised to an eBGP neighbor (empty when withdrawn/none).
-  [[nodiscard]] const Route* advertised_to_neighbor(NeighborId neighbor,
-                                                    const net::Ipv4Prefix& prefix) const noexcept;
   /// Best route among this router's own eBGP-learned candidates, regardless
   /// of what the overall best is.  This is what a probe "forced out of the
   /// AS immediately at this router" (§4.1) would follow.  `only_kind`
   /// restricts to sessions of one business relationship (e.g. upstreams).
-  [[nodiscard]] std::optional<Route> best_local_exit(
+  /// Null when there is none; the view is valid until the RIB next changes.
+  [[nodiscard]] const Route* best_local_exit(
       const net::Ipv4Prefix& prefix, std::optional<NeighborKind> only_kind = std::nullopt) const {
-    const Route* route = best_external_candidate(prefix, only_kind);
-    if (route == nullptr) return std::nullopt;
-    return *route;
+    return best_external_candidate(prefix, only_kind);
   }
   /// Raw (pre-policy) Adj-RIB-In entry count, for diagnostics.
   [[nodiscard]] std::size_t rib_in_size() const noexcept;

@@ -487,11 +487,6 @@ bool VnsNetwork::restore_upstream(PopId pop_id, int which) {
   return true;
 }
 
-bool VnsNetwork::link_is_up(PopId a, PopId b) const noexcept {
-  const auto it = link_index_.find(pop_pair_key(a, b));
-  return it != link_index_.end() && links_[it->second].up;
-}
-
 std::optional<PopId> VnsNetwork::find_pop(std::string_view name) const noexcept {
   const auto it = pop_by_name_.find(name);
   if (it == pop_by_name_.end()) return std::nullopt;
@@ -786,22 +781,21 @@ std::string RouteExplanation::json() const {
   return out + "}";
 }
 
-std::optional<bgp::Route> VnsNetwork::local_exit_route(PopId pop, net::Ipv4Address address,
-                                                       bool upstreams_only) const {
+const bgp::Route* VnsNetwork::local_exit_route(PopId pop, net::Ipv4Address address,
+                                               bool upstreams_only) const {
   // LPM through the compiled FIB (same leaf set as known_prefixes_), so the
   // probe campaigns' "exit locally" path shares the data-plane fast path.
   const net::FlatFib::Leaf* leaf = viewpoint_fib(pop).fib.lookup(address);
-  if (leaf == nullptr) return std::nullopt;
-  const std::optional<net::Ipv4Prefix> prefix{leaf->prefix};
+  if (leaf == nullptr) return nullptr;
   const auto& site = pops_.at(pop);
-  std::optional<bgp::Route> best;
+  const bgp::Route* best = nullptr;
   const bgp::DecisionContext ctx{site.routers[0], &fabric_.igp()};
   const auto only_kind = upstreams_only ? std::optional{bgp::NeighborKind::kUpstream}
                                         : std::nullopt;
   for (const auto router : site.routers) {
-    auto candidate = fabric_.router(router).best_local_exit(*prefix, only_kind);
-    if (!candidate) continue;
-    if (!best || bgp::prefer(*candidate, *best, ctx)) best = std::move(candidate);
+    const bgp::Route* candidate = fabric_.router(router).best_local_exit(leaf->prefix, only_kind);
+    if (candidate == nullptr) continue;
+    if (best == nullptr || bgp::prefer(*candidate, *best, ctx)) best = candidate;
   }
   return best;
 }

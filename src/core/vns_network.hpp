@@ -246,7 +246,6 @@ class VnsNetwork {
   bool fail_upstream(PopId pop, int which = 0);
   bool restore_upstream(PopId pop, int which = 0);
   [[nodiscard]] bool pop_is_down(PopId pop) const { return pop_down_.at(pop); }
-  [[nodiscard]] bool link_is_up(PopId a, PopId b) const noexcept;
 
   // --- topology access --------------------------------------------------------
   [[nodiscard]] std::span<const VnsPop> pops() const noexcept { return pops_; }
@@ -307,9 +306,10 @@ class VnsNetwork {
   /// Best route leaving the Internet *locally* at `pop` (probe traffic
   /// "forced out of VNS immediately at each PoP", §4.1).  With
   /// `upstreams_only`, restricts to transit sessions (the §4.3 comparison
-  /// "through its upstreams").
-  [[nodiscard]] std::optional<bgp::Route> local_exit_route(PopId pop, net::Ipv4Address address,
-                                                           bool upstreams_only = false) const;
+  /// "through its upstreams").  Null when unrouted; the view points into the
+  /// RIB and is valid until the fabric next changes.
+  [[nodiscard]] const bgp::Route* local_exit_route(PopId pop, net::Ipv4Address address,
+                                                   bool upstreams_only = false) const;
 
   /// The US-centred Tier-1 in the upstream pool (London's primary upstream
   /// when `us_upstream_in_london` is set).

@@ -8,7 +8,7 @@ namespace vns::geo {
 namespace {
 
 // Catalog grouped by WorldRegion (contiguous blocks; see cities_in()).
-constexpr City kCities[] = {
+constexpr City kCatalog[] = {
     // --- Oceania ---
     {"Sydney", "AU", {-33.87, 151.21}, WorldRegion::kOceania},
     {"Melbourne", "AU", {-37.81, 144.96}, WorldRegion::kOceania},
@@ -96,22 +96,46 @@ constexpr City kCities[] = {
     {"Lima", "PE", {-12.05, -77.04}, WorldRegion::kSouthAmerica},
 };
 
+// The catalog with each city's id set to its index.
+constexpr auto kCities = [] {
+  auto cities = std::to_array(kCatalog);
+  for (std::size_t i = 0; i < cities.size(); ++i) cities[i].id = static_cast<CityId>(i);
+  return cities;
+}();
+static_assert(kCities.size() == kCityCount && kCityCount < kNoCityId);
+
 }  // namespace
 
 std::span<const City> all_cities() noexcept { return kCities; }
 
+CityTables build_city_tables() noexcept {
+  CityTables tables;
+  for (const auto& a : kCities) {
+    for (const auto& b : kCities) tables.km[a.id][b.id] = great_circle_km(a.location, b.location);
+    tables.unit[a.id] = unit_vector(a.location);
+  }
+  return tables;
+}
+
+const City* catalog_city_at(const GeoPoint& point) noexcept {
+  for (const auto& c : kCities) {
+    if (c.location == point) return &c;
+  }
+  return nullptr;
+}
+
 std::span<const City> cities_in(WorldRegion region) noexcept {
-  const auto first = std::find_if(std::begin(kCities), std::end(kCities),
+  const auto first = std::find_if(kCities.begin(), kCities.end(),
                                   [&](const City& c) { return c.region == region; });
   auto last = first;
-  while (last != std::end(kCities) && last->region == region) ++last;
+  while (last != kCities.end() && last->region == region) ++last;
   return {first, last};
 }
 
 std::optional<City> find_city(std::string_view name) noexcept {
-  const auto it = std::find_if(std::begin(kCities), std::end(kCities),
+  const auto it = std::find_if(kCities.begin(), kCities.end(),
                                [&](const City& c) { return c.name == name; });
-  if (it == std::end(kCities)) return std::nullopt;
+  if (it == kCities.end()) return std::nullopt;
   return *it;
 }
 

@@ -22,6 +22,12 @@ double great_circle_km(const GeoPoint& a, const GeoPoint& b) noexcept {
   return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(clamped));
 }
 
+UnitVector unit_vector(const GeoPoint& point) noexcept {
+  const double lat = point.latitude_deg * kDegToRad;
+  const double lon = point.longitude_deg * kDegToRad;
+  return {std::cos(lat) * std::cos(lon), std::cos(lat) * std::sin(lon), std::sin(lat)};
+}
+
 GeoPoint destination_point(const GeoPoint& origin, double bearing_deg,
                            double distance_km) noexcept {
   const double angular = distance_km / kEarthRadiusKm;

@@ -29,6 +29,23 @@ struct GeoPoint {
 /// Numerically stable for antipodal and coincident points.
 [[nodiscard]] double great_circle_km(const GeoPoint& a, const GeoPoint& b) noexcept;
 
+/// A point as an Earth-centred unit vector.
+struct UnitVector {
+  double x = 0.0, y = 0.0, z = 0.0;
+};
+[[nodiscard]] UnitVector unit_vector(const GeoPoint& point) noexcept;
+
+/// A trig-free lower bound on great_circle_km: the arc is 2R asin(chord / 2),
+/// and a truncation of asin's all-positive Taylor series never exceeds it.
+/// The 1 m slack keeps the bound below the haversine's rounded value too.
+[[nodiscard]] inline double great_circle_lower_bound_km(const UnitVector& a,
+                                                        const UnitVector& b) noexcept {
+  const double dx = a.x - b.x, dy = a.y - b.y, dz = a.z - b.z;
+  const double s = 0.5 * std::sqrt(dx * dx + dy * dy + dz * dz);
+  const double s2 = s * s;
+  return 2.0 * kEarthRadiusKm * s * (1.0 + s2 * (1.0 / 6.0 + s2 * (3.0 / 40.0))) - 1e-3;
+}
+
 /// Moves a point `distance_km` towards `bearing_deg` (0 = north, 90 = east)
 /// along a great circle; used to scatter prefixes around their AS home city.
 [[nodiscard]] GeoPoint destination_point(const GeoPoint& origin, double bearing_deg,

@@ -71,38 +71,6 @@ util::Summary merged_loss_fraction(std::span<const TrainTaskResult> results) {
   return merged;
 }
 
-VantageCampaignResult run_vantage_campaign(
-    std::uint64_t count, const util::Rng& base, int threads,
-    const std::function<double(std::uint64_t index, util::Rng& rng)>& sample) {
-  const obs::ScopedTimer span{obs::MetricsRegistry::global(), "campaign.vantage"};
-  const std::uint64_t chunks = (count + kVantageChunk - 1) / kVantageChunk;
-  // Same substream discipline as run_train_campaign, but the parallel unit
-  // is a fixed-size chunk of vantages rather than a task: chunk i sits i+1
-  // jumps past `base` no matter how chunks map onto workers.
-  std::vector<util::Rng> streams;
-  streams.reserve(chunks);
-  util::Rng cursor = base;
-  for (std::uint64_t i = 0; i < chunks; ++i) {
-    cursor.jump();
-    streams.push_back(cursor);
-  }
-  std::vector<util::Summary> partials(chunks);
-  util::parallel_for(static_cast<std::size_t>(chunks), threads, [&](std::size_t c) {
-    util::Rng chunk_rng = streams[c].fork("vantage");
-    const std::uint64_t begin = static_cast<std::uint64_t>(c) * kVantageChunk;
-    const std::uint64_t end = std::min(count, begin + kVantageChunk);
-    for (std::uint64_t v = begin; v < end; ++v) {
-      partials[c].add(sample(v, chunk_rng));
-    }
-    util::Counters::Batch batch;  // merges into the registry on scope exit
-    batch.add("measure.vantages_sampled", end - begin);
-  });
-  VantageCampaignResult result;
-  result.vantages = count;
-  for (const auto& partial : partials) result.values.merge(partial);
-  return result;
-}
-
 void HourlyLossCounter::record(double t_seconds, bool had_loss) noexcept {
   const int hour = static_cast<int>(sim::local_hour(t_seconds, tz_)) % 24;
   total_[static_cast<std::size_t>(hour)]++;

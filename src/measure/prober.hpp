@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -87,29 +86,6 @@ struct TrainTaskResult {
 
 /// Merges per-task summaries in task order (deterministic FP result).
 [[nodiscard]] util::Summary merged_loss_fraction(std::span<const TrainTaskResult> results);
-
-/// Vantage points per parallel chunk of run_vantage_campaign.  Fixed (not
-/// derived from the thread count) so the substream layout — and therefore
-/// every sampled value — is bit-identical for any worker count.
-inline constexpr std::uint64_t kVantageChunk = 4096;
-
-/// Aggregate of a vantage-point sweep (per-chunk summaries merged in chunk
-/// order, so the FP result is deterministic too).
-struct VantageCampaignResult {
-  util::Summary values;
-  std::uint64_t vantages = 0;
-};
-
-/// Samples `count` vantage points: `sample(index, rng)` is called once per
-/// vantage with a chunk-local RNG, and its return value lands in the merged
-/// summary.  Vantages are processed in fixed chunks of kVantageChunk, chunk
-/// i drawing exclusively from `base.substream(i)`, so campaigns scale to
-/// millions of vantages with O(count / kVantageChunk) memory and a
-/// bit-identical result for any thread count.  Bumps the
-/// "measure.vantages_sampled" counter.
-[[nodiscard]] VantageCampaignResult run_vantage_campaign(
-    std::uint64_t count, const util::Rng& base, int threads,
-    const std::function<double(std::uint64_t index, util::Rng& rng)>& sample);
 
 /// Accumulates, per hour of day in a reporting timezone, how many
 /// measurement rounds experienced loss (Fig. 12's y-axis).

@@ -143,9 +143,10 @@ std::vector<topo::AsIndex> Workbench::local_exit_as_path(core::PopId pop,
                                                          std::size_t prefix_id,
                                                          bool upstreams_only) const {
   const auto& info = internet_.prefix(prefix_id);
-  const auto route = vns_->local_exit_route(pop, info.prefix.first_host(), upstreams_only);
+  const bgp::Route* route =
+      vns_->local_exit_route(pop, info.prefix.first_host(), upstreams_only);
   std::vector<topo::AsIndex> path;
-  if (!route) return path;
+  if (route == nullptr) return path;
   path.reserve(route->attrs().as_path.length());
   for (const auto asn : route->attrs().as_path.hops()) {
     const auto index = internet_.index_of(asn);
@@ -185,8 +186,12 @@ std::vector<sim::SegmentProfile> Workbench::probe_segments(core::PopId pop,
       as_path.front() == vns_->us_centred_upstream() &&
       site.city.region == geo::WorldRegion::kEurope &&
       origin.region == geo::WorldRegion::kEurope;
+  std::vector<sim::SegmentProfile> segments;
+  // The first AS on the exit path is the neighbor at this PoP (its handoff
+  // is local); transit_path_segments starts hand-offs from the second.
+  const geo::City* start = &site.city;
   if (via_us_backbone) {
-    std::vector<sim::SegmentProfile> segments;
+    segments.reserve(as_path.size() + 6);
     // Thin intra-EU backbone: a hot segment on every such path.
     sim::SegmentProfile thin;
     thin.label = "us-tier1-thin-eu-backbone";
@@ -201,34 +206,22 @@ std::vector<sim::SegmentProfile> Workbench::probe_segments(core::PopId pop,
     if ((info.prefix.address().value() >> 16) % 8 == 0) {
       const auto& ltp = internet_.as_at(as_path.front());
       const auto& na_core = topo::nearest_pop(ltp, geo::city("NewYork").location);
-      auto crossing = catalog_.transit_hop(site.city.location, na_core.location,
+      const double km = geo::city_distance_km(site.city, na_core);
+      auto crossing = catalog_.transit_hop(site.city.location, na_core.location, km,
                                            topo::RegionClass::kEU, topo::RegionClass::kNA);
-      crossing.rtt_ms = geo::great_circle_km(site.city.location, na_core.location) *
-                            delay_.rtt_ms_per_km * delay_.path_inflation +
-                        delay_.per_hop_rtt_ms;
+      crossing.rtt_ms = km * delay_.rtt_ms_per_km * delay_.path_inflation + delay_.per_hop_rtt_ms;
       crossing.label += "-backbone-detour";
       segments.push_back(std::move(crossing));
-      auto rest = topo::transit_path_segments(internet_, na_core.location, na_core.region,
-                                              as_path, info.location, origin.type,
-                                              origin.region, catalog_, delay_,
-                                              include_last_mile);
-      segments.insert(segments.end(), std::make_move_iterator(rest.begin()),
-                      std::make_move_iterator(rest.end()));
-      return segments;
+      start = &na_core;
     }
-    auto rest = topo::transit_path_segments(internet_, site.city.location, site.city.region,
-                                            as_path, info.location, origin.type, origin.region,
-                                            catalog_, delay_, include_last_mile);
-    segments.insert(segments.end(), std::make_move_iterator(rest.begin()),
-                    std::make_move_iterator(rest.end()));
-    return segments;
   }
-
-  // The first AS on the exit path is the neighbor at this PoP (its handoff
-  // is local); transit_path_segments starts hand-offs from the second.
-  return topo::transit_path_segments(internet_, site.city.location, site.city.region, as_path,
-                                     info.location, origin.type, origin.region, catalog_,
-                                     delay_, include_last_mile);
+  auto rest = topo::transit_path_segments(internet_, start->location, start->region, as_path,
+                                          info.location, origin.type, origin.region, catalog_,
+                                          delay_, include_last_mile);
+  if (segments.empty()) return rest;
+  segments.insert(segments.end(), std::make_move_iterator(rest.begin()),
+                  std::make_move_iterator(rest.end()));
+  return segments;
 }
 
 std::vector<Workbench::LastMileHost> Workbench::select_last_mile_hosts(

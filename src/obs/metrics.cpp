@@ -93,17 +93,6 @@ std::vector<MetricsRegistry::Span> MetricsRegistry::spans() const {
   return spans_;
 }
 
-std::map<std::string, std::uint64_t> MetricsRegistry::counters_snapshot()
-    const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {counters_.begin(), counters_.end()};
-}
-
-std::map<std::string, double> MetricsRegistry::gauges_snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {gauges_.begin(), gauges_.end()};
-}
-
 void MetricsRegistry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   counters_.clear();

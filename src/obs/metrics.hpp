@@ -65,9 +65,6 @@ class MetricsRegistry {
   void span_record(std::string_view name, double seconds);
   [[nodiscard]] std::vector<Span> spans() const;
 
-  [[nodiscard]] std::map<std::string, std::uint64_t> counters_snapshot() const;
-  [[nodiscard]] std::map<std::string, double> gauges_snapshot() const;
-
   void reset();
 
   /// Emits the registry as JSONL: `{"type":"counter"|"gauge"|"histogram"|

@@ -77,10 +77,6 @@ struct AsNode {
 
   /// Indices into Internet::prefixes().
   std::vector<std::size_t> prefix_ids;
-
-  [[nodiscard]] bool is_transit() const noexcept {
-    return type == AsType::kLTP || type == AsType::kSTP;
-  }
 };
 
 }  // namespace vns::topo

@@ -1,6 +1,7 @@
 #include "topo/delay.hpp"
 
 #include <cassert>
+#include <limits>
 
 namespace vns::topo {
 
@@ -18,50 +19,34 @@ const geo::City& nearest_pop(const AsNode& as_node, const geo::GeoPoint& from) n
   return *best;
 }
 
-const geo::City& handoff_pop(const AsNode& as_node, const geo::GeoPoint& from,
-                             const geo::GeoPoint& destination) noexcept {
+const geo::City& handoff_pop(const AsNode& as_node, const geo::City& from,
+                             DestinationDistances& destination) noexcept {
   const auto pops = as_node.interconnect_pops();
   assert(!pops.empty());
+  // Seed with the city of least lower-bound cost: likely the answer, and its
+  // exact cost caps the least cost from above.
   const geo::City* best = &pops.front();
-  double best_cost = geo::great_circle_km(best->location, from) +
-                     geo::great_circle_km(best->location, destination);
+  double best_bound = std::numeric_limits<double>::infinity();
   for (const auto& pop : pops) {
-    const double cost = geo::great_circle_km(pop.location, from) +
-                        geo::great_circle_km(pop.location, destination);
-    if (cost < best_cost) {
+    const double bound = geo::city_distance_km(pop, from) + destination.lower_bound(pop);
+    if (bound < best_bound) {
+      best_bound = bound;
+      best = &pop;
+    }
+  }
+  double best_cost = geo::city_distance_km(*best, from) + destination.from(*best);
+  // Then the first cheapest city.  One whose lower bound exceeds the best
+  // cost so far cannot be it, so its destination haversine is skipped.
+  for (const auto& pop : pops) {
+    const double from_km = geo::city_distance_km(pop, from);
+    if (from_km + destination.lower_bound(pop) > best_cost) continue;
+    const double cost = from_km + destination.from(pop);
+    if (cost < best_cost || (cost == best_cost && &pop < best)) {
       best_cost = cost;
       best = &pop;
     }
   }
   return *best;
-}
-
-ExpandedPath expand_path(const Internet& internet, const geo::GeoPoint& source,
-                         std::span<const AsIndex> as_path, const geo::GeoPoint& destination,
-                         const DelayModel& model) {
-  ExpandedPath expanded;
-  expanded.waypoints.push_back(source);
-  geo::GeoPoint current = source;
-
-  // Enter each AS at its PoP nearest the current waypoint (hot potato: the
-  // upstream network hands traffic off as early as it can).  The first AS on
-  // the path is the source-side network, already at `source`; handoffs start
-  // from the second AS.
-  for (std::size_t i = 1; i < as_path.size(); ++i) {
-    const AsNode& node = internet.as_at(as_path[i]);
-    const geo::City& entry = handoff_pop(node, current, destination);
-    expanded.distance_km += geo::great_circle_km(current, entry.location);
-    current = entry.location;
-    expanded.waypoints.push_back(current);
-  }
-
-  expanded.distance_km += geo::great_circle_km(current, destination);
-  expanded.waypoints.push_back(destination);
-
-  const double hop_count = as_path.empty() ? 1.0 : static_cast<double>(as_path.size());
-  expanded.rtt_ms = expanded.distance_km * model.rtt_ms_per_km * model.path_inflation +
-                    hop_count * model.per_hop_rtt_ms + model.last_mile_rtt_ms;
-  return expanded;
 }
 
 }  // namespace vns::topo

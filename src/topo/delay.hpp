@@ -1,18 +1,18 @@
-// PoP-level delay expansion of AS paths.
+// PoP-level delay model of AS paths.
 //
 // AS-level hops say nothing about propagation delay; what matters is *where*
 // the traffic is handed between networks.  Transit providers hand traffic
 // off hot-potato — at the interconnection point nearest the traffic's
-// current position (§3.2) — so we expand an AS path into a sequence of
-// geographic waypoints: starting at the source, each next AS is entered at
-// its PoP city closest to the current waypoint, and the final hop runs to
-// the destination host.  RTT follows from great-circle distance, a fibre
-// inflation factor, and per-hop processing.
+// current position (§3.2) — so a path becomes a sequence of geographic
+// waypoints: starting at the source, each next AS is entered at its PoP
+// city chosen by handoff_pop, and the final hop runs to the destination
+// host (transit_path_segments walks it).  RTT follows from great-circle
+// distance, a fibre inflation factor, and per-hop processing.
 #pragma once
 
-#include <span>
-#include <vector>
+#include <array>
 
+#include "geo/cities.hpp"
 #include "geo/geo.hpp"
 #include "topo/internet.hpp"
 
@@ -34,31 +34,48 @@ struct DelayModel {
   double last_mile_rtt_ms = 3.0;
 };
 
-/// The expanded geographic route of one AS path.
-struct ExpandedPath {
-  std::vector<geo::GeoPoint> waypoints;  ///< source, each AS ingress, destination
-  double distance_km = 0.0;              ///< sum of waypoint great-circle legs
-  double rtt_ms = 0.0;                   ///< modelled base RTT
-};
+/// Great-circle distances from catalog cities to one destination point,
+/// each computed at most once: the per-path memo behind handoff_pop.  Make
+/// one per path; it holds nothing beyond the destination it was made for.
+class DestinationDistances {
+ public:
+  explicit DestinationDistances(const geo::GeoPoint& destination) noexcept
+      : destination_(destination), unit_(geo::unit_vector(destination)) {
+    km_.fill(-1.0);
+  }
 
-/// Expands `as_path` (indices into `internet`) from a source location to a
-/// destination host location.  An empty path means source and destination
-/// are served by the same AS (direct leg).
-[[nodiscard]] ExpandedPath expand_path(const Internet& internet,
-                                       const geo::GeoPoint& source,
-                                       std::span<const AsIndex> as_path,
-                                       const geo::GeoPoint& destination,
-                                       const DelayModel& model = {});
+  /// great_circle_km(city.location, destination), bit for bit.
+  [[nodiscard]] double from(const geo::City& city) noexcept {
+    if (city.id >= geo::kCityCount) return geo::great_circle_km(city.location, destination_);
+    double& km = km_[city.id];
+    if (km < 0.0) km = geo::great_circle_km(city.location, destination_);
+    return km;
+  }
+
+  /// A trig-free lower bound on from(city); from(city) itself once known.
+  [[nodiscard]] double lower_bound(const geo::City& city) noexcept {
+    if (city.id >= geo::kCityCount) return from(city);
+    const double km = km_[city.id];
+    if (km >= 0.0) return km;
+    return geo::great_circle_lower_bound_km(geo::city_tables().unit[city.id], unit_);
+  }
+
+ private:
+  geo::GeoPoint destination_;
+  geo::UnitVector unit_;
+  std::array<double, geo::kCityCount> km_;  ///< < 0: not computed yet
+};
 
 /// The PoP city of `as_node` nearest to `from` (hot-potato entry point).
 [[nodiscard]] const geo::City& nearest_pop(const AsNode& as_node,
                                            const geo::GeoPoint& from) noexcept;
 
-/// The PoP city of `as_node` minimizing detour on the way from `from`
-/// toward `destination` (hot-potato among forward-progress interconnects:
-/// real providers interconnect densely enough that hand-offs do not
-/// backtrack away from the destination).
-[[nodiscard]] const geo::City& handoff_pop(const AsNode& as_node, const geo::GeoPoint& from,
-                                           const geo::GeoPoint& destination) noexcept;
+/// The interconnect city of `as_node` minimizing detour on the way from
+/// `from` toward the destination: the first with the least
+/// city_distance_km(pop, from) + destination.from(pop) (hot-potato among
+/// forward-progress interconnects: real providers interconnect densely
+/// enough that hand-offs do not backtrack away from the destination).
+[[nodiscard]] const geo::City& handoff_pop(const AsNode& as_node, const geo::City& from,
+                                           DestinationDistances& destination) noexcept;
 
 }  // namespace vns::topo

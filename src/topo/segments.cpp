@@ -1,6 +1,7 @@
 #include "topo/segments.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -52,6 +53,18 @@ sim::DiurnalProfile last_mile_profile(AsType type, RegionClass cls) {
   return sim::DiurnalProfile::flat(0.2);
 }
 
+/// daily_mean() of last_mile_profile(type, cls), computed once per pair.
+double last_mile_daily_mean(AsType type, RegionClass cls) {
+  static const auto means = [] {
+    std::array<double, kAsTypeCount * 3> table{};
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      table[i] = last_mile_profile(AsType(i / 3), RegionClass(i % 3)).daily_mean();
+    }
+    return table;
+  }();
+  return means[static_cast<std::size_t>(type) * 3 + static_cast<std::size_t>(cls)];
+}
+
 }  // namespace
 
 sim::SegmentProfile SegmentCatalog::last_mile(AsType type, geo::WorldRegion region,
@@ -62,13 +75,13 @@ sim::SegmentProfile SegmentCatalog::last_mile(AsType type, geo::WorldRegion regi
       last_mile_mean_pct[static_cast<int>(cls)][static_cast<int>(type)] / 100.0;
 
   sim::SegmentProfile seg;
-  seg.label = std::string{"last-mile-"} + std::string{to_string(type)};
+  seg.label.append("last-mile-").append(to_string(type));
   seg.rtt_ms = 0.0;  // access latency is part of DelayModel::last_mile_rtt_ms
   // Last-mile loss is congestion: almost all of the mean follows the
   // diurnal profile, with only a small time-uniform residue — quiet hours
   // are nearly loss-free, which is what gives Fig. 12 its strong contrast.
   seg.random_loss = 0.015 * mean_loss;
-  const double daily_mean = std::max(profile.daily_mean(), 1e-6);
+  const double daily_mean = std::max(last_mile_daily_mean(type, cls), 1e-6);
   seg.congestion_loss = 0.985 * mean_loss / daily_mean;
   seg.diurnal = profile;
   seg.tz_offset_hours = sim::tz_from_longitude(host.longitude_deg);
@@ -82,9 +95,9 @@ sim::SegmentProfile SegmentCatalog::last_mile(AsType type, geo::WorldRegion regi
 }
 
 sim::SegmentProfile SegmentCatalog::transit_hop(const geo::GeoPoint& from,
-                                                const geo::GeoPoint& to, RegionClass from_class,
+                                                const geo::GeoPoint& to, double km,
+                                                RegionClass from_class,
                                                 RegionClass to_class) const {
-  const double km = geo::great_circle_km(from, to);
   const RegionClass hop_class = std::max(from_class, to_class);
   const bool intra_ap = from_class == RegionClass::kAP && to_class == RegionClass::kAP;
   const bool trans_pacific =
@@ -177,8 +190,14 @@ std::vector<sim::SegmentProfile> transit_path_segments(
     geo::WorldRegion dest_region, const SegmentCatalog& catalog, const DelayModel& delay,
     bool include_last_mile) {
   std::vector<sim::SegmentProfile> segments;
-  geo::GeoPoint current = source;
+  segments.reserve(as_path.size() + (include_last_mile ? 3 : 0) + 1);
+  // Waypoints are catalog cities (the source too, when it is a PoP), so leg
+  // lengths are table reads and each destination distance is computed once.
+  const geo::City* source_city = geo::catalog_city_at(source);
+  const geo::City source_point{"", "", source, source_region};
+  const geo::City* current = source_city != nullptr ? source_city : &source_point;
   geo::WorldRegion current_region = source_region;
+  DestinationDistances to_destination{destination};
 
   auto leg_rtt = [&](double km, RegionClass hop_class) {
     const double inflation =
@@ -189,15 +208,15 @@ std::vector<sim::SegmentProfile> transit_path_segments(
   // Hand-offs through each AS on the path (forward-progress hot potato).
   for (std::size_t i = 1; i < as_path.size(); ++i) {
     const AsNode& node = internet.as_at(as_path[i]);
-    const geo::City& entry = handoff_pop(node, current, destination);
+    const geo::City& entry = handoff_pop(node, *current, to_destination);
     const RegionClass from_class = transit_region_class(current_region);
     const RegionClass to_class = transit_region_class(entry.region);
-    auto seg = catalog.transit_hop(current, entry.location, from_class, to_class);
-    seg.rtt_ms =
-        leg_rtt(geo::great_circle_km(current, entry.location), std::max(from_class, to_class));
-    seg.label += "-" + std::string{to_string(node.type)};
+    const double km = geo::city_distance_km(*current, entry);
+    auto seg = catalog.transit_hop(current->location, entry.location, km, from_class, to_class);
+    seg.rtt_ms = leg_rtt(km, std::max(from_class, to_class));
+    seg.label.append("-").append(to_string(node.type));
     segments.push_back(std::move(seg));
-    current = entry.location;
+    current = &entry;
     current_region = entry.region;
   }
 
@@ -205,9 +224,9 @@ std::vector<sim::SegmentProfile> transit_path_segments(
   {
     const RegionClass from_class = transit_region_class(current_region);
     const RegionClass to_class = transit_region_class(dest_region);
-    auto seg = catalog.transit_hop(current, destination, from_class, to_class);
-    seg.rtt_ms =
-        leg_rtt(geo::great_circle_km(current, destination), std::max(from_class, to_class));
+    const double km = to_destination.from(*current);
+    auto seg = catalog.transit_hop(current->location, destination, km, from_class, to_class);
+    seg.rtt_ms = leg_rtt(km, std::max(from_class, to_class));
     seg.label += "-edge";
     segments.push_back(std::move(seg));
   }

@@ -113,6 +113,12 @@ struct SegmentCatalog {
   /// intra-AP surcharge and the NA<->AP trans-Pacific discount applied.
   [[nodiscard]] sim::SegmentProfile transit_hop(const geo::GeoPoint& from,
                                                 const geo::GeoPoint& to, RegionClass from_class,
+                                                RegionClass to_class) const {
+    return transit_hop(from, to, geo::great_circle_km(from, to), from_class, to_class);
+  }
+  /// The same hop when its length `km` (great_circle_km(from, to)) is known.
+  [[nodiscard]] sim::SegmentProfile transit_hop(const geo::GeoPoint& from, const geo::GeoPoint& to,
+                                                double km, RegionClass from_class,
                                                 RegionClass to_class) const;
 
   /// A VNS internal L2 link of length `km`.

@@ -37,8 +37,8 @@ Matrix Matrix::build(const core::VnsNetwork& vns, const topo::Internet& internet
   const auto prefixes = internet.prefixes();
   const std::size_t chunks = (prefixes.size() + kMatrixChunk - 1) / kMatrixChunk;
   // Chunk i draws exclusively from seed's substream i (i+1 jumps past the
-  // base), laid out serially so the draw sequence never depends on worker
-  // scheduling — the same discipline as measure::run_vantage_campaign.
+  // base), laid out serially up front, and partials merge in chunk order, so
+  // neither the draw sequence nor the FP sums depend on worker scheduling.
   std::vector<util::Rng> streams;
   streams.reserve(chunks);
   util::Rng cursor{config.seed};

@@ -43,9 +43,9 @@ struct MatrixConfig {
   int threads = 0;
 };
 
-/// Prefixes per parallel chunk of Matrix::build — fixed, like
-/// measure::kVantageChunk, so the substream layout never depends on the
-/// thread count.
+/// Prefixes per parallel chunk of Matrix::build.  Fixed, not derived from
+/// the thread count, so the substream layout never depends on the number
+/// of workers.
 inline constexpr std::size_t kMatrixChunk = 4096;
 
 class Matrix {

@@ -152,7 +152,7 @@ TEST(VnsRoutes, LocalExitExistsAtEveryPop) {
   const auto& info = w.internet.prefix(3);
   for (const auto& pop : w.vns.pops()) {
     const auto route = w.vns.local_exit_route(pop.id, host_of(info));
-    ASSERT_TRUE(route.has_value()) << pop.name;
+    ASSERT_NE(route, nullptr) << pop.name;
     EXPECT_TRUE(route->learned_via_ebgp);
     EXPECT_EQ(w.vns.pop_of_router(route->egress), pop.id);
   }

@@ -3,6 +3,10 @@
 // GeoIP database's lookup semantics and error-model calibration.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "geo/cities.hpp"
 #include "geo/geo.hpp"
 #include "geo/geoip.hpp"
@@ -40,6 +44,35 @@ TEST(GreatCircle, AntipodalIsHalfCircumference) {
   const GeoPoint p{0.0, 0.0};
   const GeoPoint q{0.0, 180.0};
   EXPECT_NEAR(great_circle_km(p, q), M_PI * kEarthRadiusKm, 1.0);
+}
+
+TEST(GreatCircle, LowerBoundNeverExceedsHaversine) {
+  std::vector<GeoPoint> points;
+  for (const auto& c : all_cities()) {
+    points.push_back(c.location);
+    const double lon = c.location.longitude_deg;
+    points.push_back({-c.location.latitude_deg, lon > 0.0 ? lon - 180.0 : lon + 180.0});
+  }
+  for (const double lon : {-180.0, 0.0, 180.0}) {
+    points.push_back({90.0, lon});
+    points.push_back({-90.0, lon});
+    points.push_back({0.0, lon});
+  }
+  util::Rng rng{77};
+  for (int i = 0; i < 200; ++i) {
+    points.push_back({rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)});
+  }
+  for (const auto& a : points) {
+    for (const auto& b : points) {
+      const double bound = great_circle_lower_bound_km(unit_vector(a), unit_vector(b));
+      const double km = great_circle_km(a, b);
+      ASSERT_LE(bound, km) << a.latitude_deg << "," << a.longitude_deg << " -> "
+                           << b.latitude_deg << "," << b.longitude_deg;
+      // Tight enough to prune with: within 5 % (plus the slack) up to a
+      // quarter of the globe.
+      if (km < 10000.0) EXPECT_GE(bound, km * 0.95 - 1e-3);
+    }
+  }
 }
 
 TEST(DestinationPoint, RoundTripDistance) {
@@ -101,6 +134,33 @@ TEST(Cities, RegionBlocksAreContiguous) {
     total += cities_in(static_cast<WorldRegion>(r)).size();
   }
   EXPECT_EQ(total, cities.size());
+}
+
+TEST(Cities, IdsAreCatalogPositions) {
+  const auto cities = all_cities();
+  ASSERT_EQ(cities.size(), kCityCount);
+  for (std::size_t i = 0; i < cities.size(); ++i) {
+    EXPECT_EQ(cities[i].id, i);
+    EXPECT_EQ(catalog_city_at(cities[i].location), &cities[i]);
+  }
+  EXPECT_EQ(city("Tokyo").id, find_city("Tokyo")->id);
+  EXPECT_EQ(City{}.id, kNoCityId);
+  EXPECT_EQ(catalog_city_at({1.0, 2.0}), nullptr);
+}
+
+TEST(Cities, DistanceTableIsBitIdenticalToHaversine) {
+  for (const auto& a : all_cities()) {
+    for (const auto& b : all_cities()) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(city_distance_km(a, b)),
+                std::bit_cast<std::uint64_t>(great_circle_km(a.location, b.location)))
+          << a.name << " -> " << b.name;
+    }
+  }
+  // Off-catalog cities fall back to the haversine.
+  const City sea{"", "", {0.0, -30.0}, WorldRegion::kAfrica};
+  const City lagos = city("Lagos");
+  EXPECT_EQ(city_distance_km(sea, lagos), great_circle_km(sea.location, lagos.location));
+  EXPECT_EQ(city_distance_km(lagos, sea), great_circle_km(lagos.location, sea.location));
 }
 
 TEST(Cities, UnknownLookupFails) { EXPECT_FALSE(find_city("Atlantis").has_value()); }

@@ -2,6 +2,10 @@
 // ping/train semantics, and hourly loss aggregation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string_view>
+
 #include "measure/prober.hpp"
 #include "measure/workbench.hpp"
 #include "sim/time.hpp"
@@ -70,6 +74,55 @@ TEST(Workbench, ProbeRttGrowsWithDistance) {
   const double from_ams = w.probe_base_rtt_ms(ams, eu_prefix);
   const double from_syd = w.probe_base_rtt_ms(syd, eu_prefix);
   EXPECT_GT(from_syd, from_ams + 100.0);
+}
+
+/// FNV-1a over the bit patterns of everything a segment carries.
+struct SegmentDigest {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  void byte(std::uint8_t b) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(w >> (8 * i)));
+  }
+  void number(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void text(std::string_view s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+  void segment(const sim::SegmentProfile& seg) {
+    text(seg.label);
+    for (const double v :
+         {seg.rtt_ms, seg.random_loss, seg.congestion_loss, seg.diurnal.base,
+          seg.diurnal.business_weight, seg.diurnal.evening_weight, seg.tz_offset_hours,
+          seg.capacity_mbps, seg.utilization, seg.util_knee, seg.util_loss_ceiling,
+          seg.util_saturation, seg.util_queue_base_ms, seg.util_queue_cap_ms,
+          seg.burst_rate_per_day, seg.burst_duration_mean_s, seg.burst_duration_sigma,
+          seg.burst_loss, seg.jitter_base_ms, seg.jitter_peak_ms}) {
+      number(v);
+    }
+  }
+};
+
+// Golden: every field and label of every Fig. 3-style probe path (all PoPs x
+// all prefixes, last mile included) at small scale.  Pins the hand-off walk,
+// its distance table and memo, and the segment catalog bit for bit.
+TEST(Workbench, ProbeSegmentsGoldenDigest) {
+  auto& w = bench();
+  SegmentDigest digest;
+  std::uint64_t segments = 0;
+  for (core::PopId pop = 0; pop < w.vns().pops().size(); ++pop) {
+    for (std::size_t id = 0; id < w.internet().prefixes().size(); ++id) {
+      const auto path = w.probe_segments(pop, id, /*include_last_mile=*/true);
+      digest.word(path.size());
+      for (const auto& seg : path) digest.segment(seg);
+      segments += path.size();
+    }
+  }
+  EXPECT_EQ(segments, 93883u);
+  EXPECT_EQ(digest.hash, 0x49a2e2b6a92c2269ULL);
 }
 
 TEST(Prober, PingMeasuresMinRtt) {

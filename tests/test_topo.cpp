@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "topo/delay.hpp"
 #include "topo/internet.hpp"
 #include "topo/segments.hpp"
+#include "util/rng.hpp"
 
 namespace vns::topo {
 namespace {
@@ -287,37 +290,143 @@ TEST(Delay, NearestPopPicksClosest) {
   }
 }
 
-TEST(Delay, ExpandedPathAccumulatesDistance) {
+/// Sum of the RTT legs of a transit path (no last mile).
+double transit_rtt_ms(const Internet& internet, const geo::City& source,
+                      std::span<const AsIndex> as_path, const geo::City& destination,
+                      const DelayModel& model = {}) {
+  double rtt = 0.0;
+  for (const auto& seg : transit_path_segments(
+           internet, source.location, source.region, as_path, destination.location,
+           AsType::kLTP, destination.region, SegmentCatalog::paper_calibrated(), model,
+           /*include_last_mile=*/false)) {
+    rtt += seg.rtt_ms;
+  }
+  return rtt;
+}
+
+TEST(Delay, TransitPathAccumulatesDistance) {
   const auto& internet = small_internet();
-  const auto src = geo::city("Amsterdam").location;
-  const auto dst = geo::city("Singapore").location;
+  const auto src = geo::city("Amsterdam");
+  const auto dst = geo::city("Singapore");
   const auto path = internet.best_path(250, 0);
   ASSERT_FALSE(path.empty());
-  const auto expanded = expand_path(internet, src, path, dst);
-  EXPECT_GE(expanded.distance_km, geo::great_circle_km(src, dst) * 0.99);
-  EXPECT_EQ(expanded.waypoints.size(), path.size() + 1);
-  EXPECT_GT(expanded.rtt_ms, 0.0);
+  const DelayModel model;
+  const auto segments = transit_path_segments(
+      internet, src.location, src.region, path, dst.location, AsType::kLTP, dst.region,
+      SegmentCatalog::paper_calibrated(), model, /*include_last_mile=*/false);
+  // One leg per hand-off plus the edge leg.
+  EXPECT_EQ(segments.size(), path.size());
+  // The legs cannot be shorter than the great circle, and every leg pays at
+  // least the base fibre inflation and the per-hop cost.
+  const double floor = geo::great_circle_km(src.location, dst.location) * model.rtt_ms_per_km *
+                           model.path_inflation +
+                       static_cast<double>(path.size()) * model.per_hop_rtt_ms;
+  double rtt = 0.0;
+  for (const auto& seg : segments) rtt += seg.rtt_ms;
+  EXPECT_GE(rtt, floor * 0.99);
 }
 
 TEST(Delay, LongerPathsCostMore) {
   const auto& internet = small_internet();
-  const auto ams = geo::city("Amsterdam").location;
-  const DelayModel model;
-  const ExpandedPath near = expand_path(internet, ams, {}, geo::city("Frankfurt").location, model);
-  const ExpandedPath far = expand_path(internet, ams, {}, geo::city("Sydney").location, model);
-  EXPECT_GT(far.rtt_ms, near.rtt_ms * 5.0);
+  const auto ams = geo::city("Amsterdam");
+  const double near = transit_rtt_ms(internet, ams, {}, geo::city("Frankfurt"));
+  const double far = transit_rtt_ms(internet, ams, {}, geo::city("Sydney"));
+  EXPECT_GT(far, near * 5.0);
 }
 
 TEST(Delay, RttScalesWithModelParameters) {
   const auto& internet = small_internet();
-  const auto ams = geo::city("Amsterdam").location;
-  const auto syd = geo::city("Sydney").location;
+  const auto ams = geo::city("Amsterdam");
+  const auto syd = geo::city("Sydney");
   DelayModel base_model;
   DelayModel inflated = base_model;
   inflated.path_inflation = base_model.path_inflation * 2.0;
-  const auto base = expand_path(internet, ams, {}, syd, base_model);
-  const auto doubled = expand_path(internet, ams, {}, syd, inflated);
-  EXPECT_GT(doubled.rtt_ms, base.rtt_ms * 1.5);
+  inflated.ap_transit_inflation = base_model.ap_transit_inflation * 2.0;
+  const double base = transit_rtt_ms(internet, ams, {}, syd, base_model);
+  const double doubled = transit_rtt_ms(internet, ams, {}, syd, inflated);
+  EXPECT_GT(doubled, base * 1.5);
+}
+
+/// The hand-off choice written out directly: two haversines per
+/// interconnect city, first strictly cheapest wins.  Reference for the
+/// table- and memo-backed handoff_pop.
+const geo::City& reference_handoff_pop(const AsNode& node, const geo::GeoPoint& from,
+                                       const geo::GeoPoint& destination) {
+  const auto pops = node.interconnect_pops();
+  const geo::City* best = &pops.front();
+  double best_cost = geo::great_circle_km(best->location, from) +
+                     geo::great_circle_km(best->location, destination);
+  for (const auto& pop : pops) {
+    const double cost = geo::great_circle_km(pop.location, from) +
+                        geo::great_circle_km(pop.location, destination);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = &pop;
+    }
+  }
+  return *best;
+}
+
+TEST(Delay, HandoffPopMatchesReferenceLoop) {
+  const auto internet =
+      Internet::generate_topology(InternetConfig::preset(InternetScale::kSmall, 7));
+  // Both implementations are pure functions of the interconnect sequence,
+  // so one AS per distinct sequence covers every AS.
+  std::set<std::vector<int>> seen;
+  std::vector<const AsNode*> nodes;
+  for (const auto& node : internet.ases()) {
+    std::vector<int> ids;
+    for (const auto& pop : node.interconnect_pops()) ids.push_back(pop.id);
+    if (seen.insert(std::move(ids)).second) nodes.push_back(&node);
+  }
+  // Awkward destinations: catalog cities themselves (coincident with a
+  // candidate) and their antipodes, both poles, the antimeridian from both
+  // sides, then seeded random points.
+  std::vector<geo::GeoPoint> destinations;
+  for (std::size_t i = 0; i < geo::kCityCount; i += 3) {
+    const auto& c = geo::all_cities()[i];
+    destinations.push_back(c.location);
+    const double lon = c.location.longitude_deg;
+    destinations.push_back({-c.location.latitude_deg, lon > 0.0 ? lon - 180.0 : lon + 180.0});
+  }
+  for (const double lon : {0.0, 180.0, -180.0, 104.0}) {
+    destinations.push_back({90.0, lon});
+    destinations.push_back({-90.0, lon});
+  }
+  for (const double lat : {-60.0, 0.0, 35.0, 64.0}) {
+    for (const double lon : {180.0, -180.0, 179.999999, -179.999999}) {
+      destinations.push_back({lat, lon});
+    }
+  }
+  util::Rng rng{2013};
+  for (int i = 0; i < 40; ++i) {
+    destinations.push_back({rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)});
+  }
+  // Sources: every catalog city, plus two points off the catalog (the
+  // haversine fallback).
+  std::vector<geo::City> sources{geo::all_cities().begin(), geo::all_cities().end()};
+  sources.push_back({"", "", {10.0, -30.0}, geo::WorldRegion::kAfrica});
+  sources.push_back({"", "", {-89.5, 179.9}, geo::WorldRegion::kOceania});
+
+  std::size_t checked = 0;
+  for (const auto& destination : destinations) {
+    // One memo per destination, shared across every source and AS, as a
+    // path walk shares it across its hand-offs.
+    DestinationDistances memo{destination};
+    for (const auto& from : sources) {
+      for (const AsNode* node : nodes) {
+        const geo::City& expected = reference_handoff_pop(*node, from.location, destination);
+        const geo::City& actual = handoff_pop(*node, from, memo);
+        ASSERT_EQ(&actual, &expected)
+            << "AS " << node->asn << " from " << from.name << " (" << from.location.latitude_deg
+            << ", " << from.location.longitude_deg << ") to (" << destination.latitude_deg
+            << ", " << destination.longitude_deg << ")";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, destinations.size() * sources.size() * nodes.size());
+  EXPECT_GT(nodes.size(), 100u);
 }
 
 // -------------------------------------------------------------- segments ---

@@ -14,6 +14,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "tools/cli.hpp"
 
 namespace vns::util {
 namespace {
@@ -364,6 +365,31 @@ TEST(Arena, BacksAnUnorderedMapThroughRehashAndErase) {
   // owner's next population (live_bytes excludes the bucket array, which
   // unordered_map only releases on destruction).
   EXPECT_GT(arena.stats().reserved_bytes, 0u);
+}
+
+TEST(Cli, ParsesPlainNonNegativeNumbers) {
+  EXPECT_EQ(cli::parse_non_negative<int>("4"), 4);
+  EXPECT_EQ(cli::parse_non_negative<int>("0"), 0);
+  EXPECT_EQ(cli::parse_non_negative<std::uint64_t>("18446744073709551615"),
+            std::uint64_t{18446744073709551615ULL});
+  EXPECT_EQ(cli::parse_non_negative<double>("2.5e3"), 2500.0);
+  EXPECT_EQ(cli::parse_non_negative<double>("0.001"), 0.001);
+  EXPECT_EQ(cli::parse_non_negative<int>("1024", 1024), 1024);
+}
+
+TEST(Cli, RejectsJunkSignsNonFiniteAndOverflow) {
+  for (const char* text : {"", "4x", "x4", " 4", "4 ", "-1", "+1", "1.5", "0x10", "-0"}) {
+    EXPECT_FALSE(cli::parse_non_negative<int>(text).has_value()) << "'" << text << "'";
+  }
+  for (const char* text : {"", "abc", "2s", "-1", "-0", "inf", "infinity", "nan", "1e400",
+                           "1e-400", " 1", "1,5"}) {
+    EXPECT_FALSE(cli::parse_non_negative<double>(text).has_value()) << "'" << text << "'";
+  }
+  EXPECT_FALSE(cli::parse_non_negative<std::uint64_t>("18446744073709551616").has_value());
+  EXPECT_FALSE(cli::parse_non_negative<std::uint32_t>("4294967296").has_value());
+  EXPECT_FALSE(cli::parse_non_negative<int>("99999999999").has_value());
+  EXPECT_FALSE(cli::parse_non_negative<int>("1025", 1024).has_value());
+  EXPECT_FALSE(cli::parse_non_negative<double>("1e300", 1e9).has_value());
 }
 
 }  // namespace

@@ -10,12 +10,16 @@
 //             [--dump-state FILE]
 //
 //   --duration S     total dwell budget in seconds, spread over the batches
-//                    (pacing only; the event schedule is wall-clock free)
-//   --qps Q          per-resolver probe rate (0 = unthrottled)
+//                    (pacing only; the event schedule is wall-clock free),
+//                    at most 1e9
+//   --qps Q          per-resolver probe rate (0 = unthrottled, else >= 1e-9)
 //   --record FILE    generate the trace, save it to FILE, then run it
 //   --replay FILE    load the trace from FILE instead of generating one
 //   --dump-state F   write the canonical final fabric state dump to F —
 //                    byte-compare two runs to verify replay determinism
+//
+// Numeric values must be plain non-negative numbers that fit their type
+// (--threads at most 1024); anything else exits 2 with a one-line message.
 //
 // Record/replay contract: the trace file and the final state dump are
 // byte-identical for any --threads value; only the latency samples (wall
@@ -30,6 +34,7 @@
 #include "measure/workbench.hpp"
 #include "serve/engine.hpp"
 #include "serve/update_trace.hpp"
+#include "tools/cli.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace vns;
@@ -57,6 +62,11 @@ void usage(std::ostream& out) {
          "                 [--dump-state FILE]\n";
 }
 
+/// Longest --duration, and longest pacing interval 1 / --qps, in seconds:
+/// both become steady_clock durations, which hold about 9.2e9 s.
+constexpr double kMaxSeconds = 1e9;
+constexpr int kMaxThreads = 1024;
+
 std::optional<ServeArgs> parse(int argc, char** argv) {
   ServeArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -74,31 +84,35 @@ std::optional<ServeArgs> parse(int argc, char** argv) {
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.seed = std::strtoull(v, nullptr, 10);
+      args.seed = cli::numeric_flag<std::uint64_t>(arg, v);
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.threads = static_cast<int>(std::strtol(v, nullptr, 10));
+      args.threads = cli::numeric_flag(arg, v, kMaxThreads);
     } else if (arg == "--duration") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.duration_s = std::strtod(v, nullptr);
+      args.duration_s = cli::numeric_flag(arg, v, kMaxSeconds);
     } else if (arg == "--qps") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.qps = std::strtod(v, nullptr);
+      args.qps = cli::numeric_flag<double>(arg, v);
+      if (args.qps > 0.0 && args.qps < 1.0 / kMaxSeconds) {
+        std::cerr << "invalid --qps '" << v << "': want 0 or at least 1e-9\n";
+        std::exit(2);
+      }
     } else if (arg == "--batches") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.batches = std::strtoull(v, nullptr, 10);
+      args.batches = cli::numeric_flag<std::uint64_t>(arg, v);
     } else if (arg == "--events") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.events_per_batch = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      args.events_per_batch = cli::numeric_flag<std::uint32_t>(arg, v);
     } else if (arg == "--heartbeat") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      args.heartbeat_every = std::strtoull(v, nullptr, 10);
+      args.heartbeat_every = cli::numeric_flag<std::uint64_t>(arg, v);
     } else if (arg == "--record") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
