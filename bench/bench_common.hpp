@@ -8,7 +8,8 @@
 //   --seed N       world seed (default 1)
 //   --days D       campaign length where applicable (scaled-down defaults)
 //   --threads N    campaign worker count (default: VNS_THREADS, then
-//                  hardware; results are bit-identical for any N)
+//                  hardware; results are bit-identical for any N); the
+//                  world build is serial
 //   --json         additionally write BENCH_<name>.json with the run's
 //                  config, key metrics, wall-clock and work counters
 //   --trace        attach an obs::TraceSink to the fabric and write
@@ -123,7 +124,8 @@ struct BenchArgs {
       } else if (arg == "--help") {
         std::cout << "flags: --scale {small,paper,full,xl} --small --seed N --days D "
                      "--threads N --offered-load MBPS --offload-threshold U "
-                     "--json --trace\n";
+                     "--json --trace\n"
+                     "--threads sizes the campaign workers; the world build is serial\n";
         std::exit(0);
       }
     }

@@ -221,12 +221,10 @@ void BM_FabricAnnouncementConvergenceTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricAnnouncementConvergenceTraced);
 
-/// Churn-and-converge loop shared by the serial and sharded variants: a
-/// wider fabric (8 RR clients, 2 upstreams per client) announcing prefix
-/// blocks so each batch spreads across many shards.  The pair's ratio is
-/// the sharded engine's throughput claim; results are bit-identical for
-/// any thread count, so only wall-clock may differ.
-void run_sharded_convergence(benchmark::State& state, int threads) {
+void BM_Convergence(benchmark::State& state) {
+  // A wider fabric (8 RR clients, one upstream each) announcing a 16-prefix
+  // block that spreads across many shards, then withdrawing it: every
+  // iteration starts from the same RIB and does the same work.
   bgp::Fabric fabric{65000};
   const auto rr = fabric.add_router("RR");
   std::vector<bgp::NeighborId> uplinks;
@@ -238,40 +236,31 @@ void run_sharded_convergence(benchmark::State& state, int threads) {
                                           bgp::NeighborKind::kUpstream,
                                           "up" + std::to_string(i)));
   }
-  fabric.set_threads(threads);
+  std::vector<net::Ipv4Prefix> block;
+  std::vector<bgp::AttrRef> attrs;
+  for (std::uint32_t p = 0; p < 16; ++p) {
+    block.emplace_back(net::Ipv4Address{(p * 3751u + 1024u) << 12}, 20);
+    bgp::Attributes a;
+    a.as_path = bgp::AsPath{{static_cast<net::Asn>(100 + p % 8),
+                             static_cast<net::Asn>(4000 + p)}};
+    attrs.push_back(bgp::AttrTable::global().intern(std::move(a)));
+  }
 
-  std::uint32_t block = 1;
   for (auto _ : state) {
     for (std::uint32_t p = 0; p < 16; ++p) {
-      const net::Ipv4Prefix prefix{
-          net::Ipv4Address{((block * 16u + p) % 60000u + 1024u) << 12}, 20};
-      bgp::Attributes attrs;
-      attrs.as_path = bgp::AsPath{{static_cast<net::Asn>(100 + p % 8),
-                                   static_cast<net::Asn>(4000 + p)}};
-      fabric.announce(uplinks[p % uplinks.size()], prefix, attrs);
+      fabric.announce(uplinks[p % uplinks.size()], block[p], attrs[p]);
     }
-    ++block;
+    benchmark::DoNotOptimize(fabric.run_to_convergence());
+    for (std::uint32_t p = 0; p < 16; ++p) fabric.withdraw(uplinks[p % uplinks.size()], block[p]);
     benchmark::DoNotOptimize(fabric.run_to_convergence());
   }
   const auto stats = fabric.convergence_stats();
   state.SetItemsProcessed(static_cast<std::int64_t>(stats.messages));
-  state.counters["msgs_per_sec"] =
-      benchmark::Counter(static_cast<double>(stats.messages),
-                         benchmark::Counter::kIsRate);
+  state.counters["msgs_per_iter"] =
+      static_cast<double>(stats.messages) / static_cast<double>(state.iterations());
   state.counters["shard_occupancy_mean"] = stats.mean_shard_occupancy();
 }
-
-void BM_ConvergenceSerial(benchmark::State& state) {
-  // threads=1: the inline drain, same batch algorithm, no pool hand-off.
-  run_sharded_convergence(state, 1);
-}
-BENCHMARK(BM_ConvergenceSerial);
-
-void BM_ConvergenceSharded(benchmark::State& state) {
-  // threads=4: per-shard worklists processed across the pool.
-  run_sharded_convergence(state, 4);
-}
-BENCHMARK(BM_ConvergenceSharded);
+BENCHMARK(BM_Convergence)->UseRealTime();
 
 void BM_TraceSinkRecord(benchmark::State& state) {
   obs::TraceSink sink{1u << 16};
@@ -568,36 +557,17 @@ void BM_FibFullRebuild(benchmark::State& state) {
 BENCHMARK(BM_FibPatch);
 BENCHMARK(BM_FibFullRebuild);
 
-// --- serial vs sharded FIB compilation --------------------------------------
+// --- full-table FIB compilation ----------------------------------------------
 
-void compile_with_threads(benchmark::State& state, int threads) {
+void BM_FibCompile(benchmark::State& state) {
   const auto leaves = make_full_table(kFullTableSize);
-  const int saved = net::FlatFib::compile_threads();
-  net::FlatFib::set_compile_threads(threads);
   for (auto _ : state) {
     net::FlatFib fib = net::FlatFib::compile(leaves.begin(), leaves.end(), leaves.size());
     benchmark::DoNotOptimize(fib.lookup(net::Ipv4Address{11u << 16}));
   }
-  net::FlatFib::set_compile_threads(saved);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kFullTableSize);
-  state.counters["threads"] = threads;
 }
-
-void BM_FibCompileSerial(benchmark::State& state) {
-  // Full-table compile on one thread: the pre-sharding baseline.
-  compile_with_threads(state, 1);
-}
-
-void BM_FibCompileParallel(benchmark::State& state) {
-  // Same compile sharded over 4 workers; output is byte-identical (the
-  // Fib.ParallelCompileBitIdentical fuzz enforces it), so the delta is pure
-  // speedup.  On a 1-CPU container the workers serialize and this reports
-  // ~parity — see DESIGN §15 for the caveat.
-  compile_with_threads(state, 4);
-}
-
-BENCHMARK(BM_FibCompileSerial);
-BENCHMARK(BM_FibCompileParallel);
+BENCHMARK(BM_FibCompile);
 
 // --- heap-backed vs arena-backed RIB maps -----------------------------------
 

@@ -96,9 +96,13 @@ int main(int argc, char** argv) {
             << " spill tables, compiled in " << util::format_double(compile_seconds, 2)
             << " s (cumulative full builds " << util::format_double(fib.full_build_seconds, 2)
             << " s)\n";
+  // Chunk-live bytes sit inside the reserved chunks; large blocks (hash
+  // bucket arrays) pass through to the heap and are reported apart.
   std::cout << "rib arena: " << arena.reserved_bytes / (1024 * 1024) << " MiB reserved, "
-            << arena.live_bytes / (1024 * 1024) << " MiB live, " << arena.freelist_reuses
-            << " freelist reuses across " << arena.allocations << " allocations\n";
+            << arena.chunk_live_bytes() / (1024 * 1024) << " MiB live in chunks, "
+            << arena.large_bytes / (1024 * 1024) << " MiB in large blocks, "
+            << arena.freelist_reuses << " freelist reuses across " << arena.allocations
+            << " allocations\n";
   std::cout << "memory: steady " << steady_kb / 1024 << " MiB, peak " << peak_kb / 1024
             << " MiB (peak/steady " << util::format_double(peak_over_steady, 3) << ")\n";
 
@@ -108,7 +112,8 @@ int main(int argc, char** argv) {
   bench::metric("steady_rss_kb", steady_kb);
   bench::metric("peak_over_steady", peak_over_steady);
   bench::metric("arena_reserved_bytes", arena.reserved_bytes);
-  bench::metric("arena_live_bytes", arena.live_bytes);
+  bench::metric("arena_chunk_live_bytes", arena.chunk_live_bytes());
+  bench::metric("arena_large_bytes", arena.large_bytes);
   bench::metric("arena_freelist_reuses", arena.freelist_reuses);
 
   bench::finish_run(args, build_seconds + compile_seconds);

@@ -17,12 +17,10 @@
 // time, exactly as a TCP session teardown discards undelivered updates.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -32,14 +30,12 @@
 #include "bgp/router.hpp"
 #include "bgp/types.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vns::bgp {
 
 /// Per-fabric cumulative convergence-engine statistics (reset never; the
-/// fabric is built once per world).  `shard_limit` is the fixed shard count —
-/// it never varies with the thread knob, because the shard walk order defines
-/// the deterministic frontier merge.
+/// fabric is built once per world).  `shard_limit` is the fixed shard count:
+/// the shard walk order defines the order in which a frontier batch drains.
 struct ConvergenceStats {
   std::uint64_t runs = 0;        ///< run_to_convergence calls that found work
   std::uint64_t messages = 0;    ///< messages consumed (delivered + dropped)
@@ -164,28 +160,21 @@ class Fabric {
   [[nodiscard]] bool router_is_down(RouterId id) const { return router_down_.at(id); }
 
   /// Processes queued updates until quiescent, as a sequence of frontier
-  /// batches: each iteration takes everything currently queued, partitions
-  /// it by prefix hash into a fixed number of shards, processes the shards
-  /// across the fabric's thread pool (per-prefix RIB updates are
-  /// independent; per-router delivery serializes on the router's mutex), and
-  /// merges the emitted frontier in stable shard-then-sequence order into
-  /// the next batch.  The shard count and merge order never depend on the
-  /// thread knob, so results — Loc-RIBs, exports, traces — are bit-identical
-  /// for any `set_threads` value, including 1 (which runs the same batch
-  /// algorithm inline).  Returns the number of messages consumed; throws
-  /// std::runtime_error (with diagnostics: messages delivered, queue depth,
-  /// hottest queued prefixes) if the next batch would exceed `max_messages`
-  /// (a non-converging configuration).  The budget check is batch-atomic —
-  /// a batch either runs in full or not at all — so budget exhaustion is
-  /// also identical for every thread count.
+  /// batches: each iteration takes everything currently queued, groups it
+  /// by prefix hash into a fixed number of shards (stable, so sequence order
+  /// holds within a shard), and delivers it inline in shard-then-sequence
+  /// order; whatever the deliveries emit forms the next batch.  That walk
+  /// order is what the trace, delta-log and state goldens pin.  Returns the
+  /// number of messages consumed; throws std::runtime_error (with
+  /// diagnostics: messages delivered, queue depth, hottest queued prefixes)
+  /// if the next batch would exceed `max_messages` (a non-converging
+  /// configuration).  The budget check is batch-atomic: a batch either runs
+  /// in full or not at all, and an aborted run leaves the frontier queued.
   std::size_t run_to_convergence(std::size_t max_messages = 20'000'000);
 
-  /// Convergence worker-lane count: `requested` resolves through
-  /// util::resolve_thread_count (>0 as-is, else VNS_THREADS, else hardware).
-  /// Purely a throughput knob — see run_to_convergence for the determinism
-  /// contract.
-  void set_threads(int requested);
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
+  /// No-op.  Convergence is serial; kept only because `perfbench/` still
+  /// calls it.
+  void set_threads(int /*requested*/) noexcept {}
 
   [[nodiscard]] bool converged() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
@@ -200,12 +189,10 @@ class Fabric {
   /// Attaches (or detaches, with nullptr) a trace sink.  The fabric stamps
   /// every recorded event with its logical clock — one tick per external
   /// announce/withdraw/originate, per fault operation, and per convergence
-  /// *batch* (every message of one frontier iteration shares a tick; a
-  /// per-message clock would depend on shard interleaving) — so traces are
-  /// reproducible byte-for-byte for any thread count.  Every event's
-  /// queue_depth is stamped *after* the triggering emissions are enqueued
-  /// (announce/withdraw/fault events used to under-report by stamping
-  /// first), replayed in deterministic merge order for batched deliveries.
+  /// *batch* (every message of one frontier iteration shares a tick) — so
+  /// traces are reproducible byte-for-byte.  Every event's queue_depth is
+  /// stamped *after* the triggering emissions are enqueued; during a batch
+  /// it counts the batch's undelivered messages plus the next frontier.
   /// With no sink attached the only cost is a null check per event site.
   void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
   [[nodiscard]] obs::TraceSink* trace() const noexcept { return trace_; }
@@ -228,7 +215,7 @@ class Fabric {
     std::uint64_t next_cursor = 0;
     /// Loc-RIB changes since `cursor`, in deterministic order (direct
     /// mutations in call order; convergence deliveries in shard-then-
-    /// sequence merge order, same as trace events).  May repeat a
+    /// sequence order, same as trace events).  May repeat a
     /// (router, prefix) pair; consumers deduplicate.  The span aliases the
     /// fabric's internal log: it is invalidated by the next mutating
     /// fabric call.
@@ -256,25 +243,6 @@ class Fabric {
     std::vector<NeighborId> ebgp_neighbors;
   };
 
-  /// One shard's worklist and outputs for a single frontier batch.  Shards
-  /// never share mutable state with each other: emissions, tallies and
-  /// staged trace events stay shard-local until the deterministic merge.
-  struct ShardState {
-    std::vector<Emission> work;
-    std::vector<Emission> out;  ///< frontier this shard emitted, in order
-    std::size_t delivered = 0;
-    std::size_t dropped = 0;
-    /// Staged trace events (when/queue_depth filled in at merge time) plus
-    /// per-message high-water marks (events_end, out_end) so the merge can
-    /// replay exactly the depths a one-lane run would have stamped.
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> marks;
-    /// Loc-RIB changes this shard's deliveries caused, staged shard-locally
-    /// and appended to delta_log_ in shard order at merge time (the same
-    /// discipline that keeps trace events thread-count-identical).
-    std::vector<RibDelta> dirty;
-  };
-
   void enqueue(std::vector<Emission> emissions);
   /// Queues the IGP-change hook of every live router, in router-id order.
   void notify_igp_change();
@@ -290,11 +258,9 @@ class Fabric {
   /// Records kLocRibChanged when the best route differs from `before`.
   void trace_rib_change(const Router& target, const net::Ipv4Prefix& prefix,
                         const std::optional<Route>& before);
-  /// Delivers one queued emission inside a shard: export-sink writes take a
-  /// striped neighbor lock, router deliveries take the router's mutex.
-  void process_emission(const Emission& emission, ShardState& shard);
-  /// Lazily (re)builds the convergence pool for the current thread knob.
-  [[nodiscard]] util::ThreadPool& convergence_pool();
+  /// Delivers one message of the draining batch: records an export, or runs
+  /// the receiving router's handler and appends its emissions to queue_.
+  void deliver(Emission& emission);
 
   net::Asn local_asn_;
   std::vector<std::unique_ptr<Router>> routers_;
@@ -305,13 +271,13 @@ class Fabric {
   std::size_t dropped_ = 0;
   /// Export sink per neighbor (what the neighbor has been sent).
   std::vector<std::unordered_map<net::Ipv4Prefix, Route>> neighbor_exports_;
-  /// Striped locks for the export sinks: emissions shard by prefix, so two
-  /// shards can write the same neighbor's sink concurrently.
-  std::array<std::mutex, 16> export_locks_;
   std::vector<bool> router_down_;
   std::unordered_map<RouterId, DownedRouter> downed_routers_;
   obs::TraceSink* trace_ = nullptr;  ///< not owned; null = tracing disabled
   std::uint64_t logical_time_ = 0;
+  /// Messages of the draining batch not yet delivered; part of every trace
+  /// event's queue_depth (zero outside run_to_convergence).
+  std::size_t batch_pending_ = 0;
   std::uint64_t rib_generation_ = 1;
   /// RIB-delta log: every Loc-RIB change, in deterministic order.  Bounded:
   /// past kDeltaLogCap entries the log is cleared and delta_base_ advanced,
@@ -319,8 +285,6 @@ class Fabric {
   static constexpr std::size_t kDeltaLogCap = std::size_t{1} << 20;
   std::vector<RibDelta> delta_log_;
   std::uint64_t delta_base_ = 0;  ///< log position of delta_log_[0]
-  unsigned threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< built on first convergence run
   ConvergenceStats convergence_stats_;
 };
 

@@ -56,10 +56,10 @@ class IgpTopology {
   /// Shortest-path metric; 0 for a==b, kUnreachable when disconnected.
   [[nodiscard]] IgpMetric metric(RouterId from, RouterId to) const;
 
-  /// Fills every source's SPF cache that is not already computed.  The
-  /// sharded convergence engine calls this before fanning a batch across
-  /// threads: the topology is static during a run, so after warming,
-  /// metric() and shortest_path() are pure reads and need no locking.
+  /// Fills every source's SPF cache that is not already computed.  Every
+  /// convergence run calls this first; the topology only changes between
+  /// runs, so afterwards metric() and shortest_path() are pure reads and
+  /// concurrent readers (campaign workers, explain_route) need no locking.
   void warm_spf() const;
 
   /// Routers on the shortest path from `from` to `to`, inclusive of both

@@ -41,7 +41,8 @@ struct WorkbenchConfig {
   /// backbone (over the Atlantic and back) instead of handing it off locally.
   bool model_us_backbone_detour = true;
   /// Worker count for sharded campaigns (run_stream_campaign,
-  /// run_train_campaign); <= 0 resolves VNS_THREADS, then hardware.
+  /// run_train_campaign); <= 0 resolves VNS_THREADS, then hardware.  The
+  /// world build itself (convergence, FIB compiles) is serial.
   int threads = 0;
   /// Optional trace sink (not owned; must outlive the Workbench), attached
   /// to the fabric *before* feed_routes so the initial announcement storm is

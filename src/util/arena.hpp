@@ -16,9 +16,8 @@
 // e.g. hash-bucket arrays) pass through to operator new/delete and are
 // only *accounted* here.
 //
-// Concurrency: none.  Each arena is owned by one shard — in practice one
-// `bgp::Router`, whose RIB mutations are already serialized by its
-// delivery mutex.  `ArenaAllocator` makes the arena usable as a standard
+// Concurrency: none.  Each arena is owned by one `bgp::Router`, whose RIB
+// is only mutated by the fabric's serial convergence drain.  `ArenaAllocator` makes the arena usable as a standard
 // allocator; it is deliberately *not* default-constructible so every
 // container creation site names its arena explicitly.
 #pragma once
@@ -49,6 +48,12 @@ class Arena {
       allocations += other.allocations;
       freelist_reuses += other.freelist_reuses;
       return *this;
+    }
+
+    /// Live bytes inside the bump chunks: live_bytes minus the pass-through
+    /// blocks, so it never exceeds reserved_bytes.
+    [[nodiscard]] std::size_t chunk_live_bytes() const noexcept {
+      return live_bytes - large_bytes;
     }
   };
 

@@ -349,6 +349,31 @@ TEST(Arena, OversizedAllocationsRoundTrip) {
   EXPECT_EQ(stats.live_bytes, 0u);
 }
 
+TEST(Arena, ChunkLiveBytesNeverExceedReserved) {
+  // live_bytes counts pass-through blocks, which live outside the chunks,
+  // so it can read above reserved_bytes; the chunk-resident figure cannot.
+  Arena arena;
+  std::vector<std::pair<void*, std::size_t>> blocks;
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t bytes =
+        i % 10 == 0 ? 64 * 1024 : 16 + static_cast<std::size_t>(i % 200);
+    blocks.emplace_back(arena.allocate(bytes, 8), bytes);
+  }
+  for (std::size_t i = 0; i < blocks.size(); i += 3) {
+    arena.deallocate(blocks[i].first, blocks[i].second, 8);
+  }
+  const auto stats = arena.stats();
+  EXPECT_GT(stats.live_bytes, stats.reserved_bytes);  // the misleading reading
+  EXPECT_GT(stats.large_bytes, 0u);
+  EXPECT_GT(stats.chunk_live_bytes(), 0u);
+  EXPECT_EQ(stats.chunk_live_bytes() + stats.large_bytes, stats.live_bytes);
+  EXPECT_LE(stats.chunk_live_bytes(), stats.reserved_bytes);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (i % 3 != 0) arena.deallocate(blocks[i].first, blocks[i].second, 8);
+  }
+  EXPECT_EQ(arena.stats().chunk_live_bytes(), 0u);
+}
+
 TEST(Arena, BacksAnUnorderedMapThroughRehashAndErase) {
   Arena arena;
   using Alloc = ArenaAllocator<std::pair<const int, int>>;

@@ -212,7 +212,7 @@ constexpr std::string_view kBenchMemoryKeys[] = {
     // DIR-16-8-8 compiles vs. incremental patches, so regressions in either
     // path are visible separately.
     "full_build_seconds", "patch_seconds",
-    // Sharded convergence engine stats (the "convergence" object).
+    // Convergence engine stats (the "convergence" object).
     "convergence", "runs", "messages", "batches", "messages_per_sec",
     "shard_limit", "shard_occupancy_mean", "shard_occupancy_max",
     "max_batch_messages",

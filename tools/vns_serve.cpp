@@ -9,6 +9,7 @@
 //             [--heartbeat N] [--record FILE] [--replay FILE]
 //             [--dump-state FILE]
 //
+//   --threads N      resolver threads (the world build is serial)
 //   --duration S     total dwell budget in seconds, spread over the batches
 //                    (pacing only; the event schedule is wall-clock free),
 //                    at most 1e9
@@ -59,7 +60,8 @@ void usage(std::ostream& out) {
   out << "usage: vns_serve [--scale small|paper|full|xl] [--seed N] [--threads N]\n"
          "                 [--duration S] [--qps Q] [--batches N] [--events N]\n"
          "                 [--heartbeat N] [--record FILE] [--replay FILE]\n"
-         "                 [--dump-state FILE]\n";
+         "                 [--dump-state FILE]\n"
+         "--threads sizes the resolver threads; the world build is serial\n";
 }
 
 /// Longest --duration, and longest pacing interval 1 / --qps, in seconds:
