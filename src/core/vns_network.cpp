@@ -5,6 +5,7 @@
 #include <cmath>
 #include <queue>
 #include <sstream>
+#include <utility>
 
 #include "bgp/decision.hpp"
 #include "obs/json.hpp"
@@ -56,10 +57,11 @@ VnsNetwork::VnsNetwork(const topo::Internet& internet, const geo::GeoIpDatabase&
   attach_neighbors();
   install_policies();
   pop_down_.assign(pops_.size(), false);
-  fibs_.reserve(pops_.size());
-  for (std::size_t i = 0; i < pops_.size(); ++i) {
-    fibs_.push_back(std::make_unique<ViewpointFib>());
-  }
+  // Generation 0: every viewpoint answers "unrouted" until the first publish.
+  auto empty = std::make_shared<FibSnapshot>();
+  empty->fibs.assign(pops_.size(), std::make_shared<const ViewpointFib>());
+  fib_raw_.store(empty.get(), std::memory_order_release);
+  snapshot_ = std::move(empty);
 }
 
 void VnsNetwork::build_pops() {
@@ -332,7 +334,8 @@ void VnsNetwork::feed_prefix_batch(topo::AsIndex origin,
   if (streamed_since_flush_ >= config_.stream_flush_prefixes) {
     // Checkpoint convergence: drains the pending-update queue so memory and
     // the per-run message budget stay bounded at million-prefix scale.  The
-    // feed is announce-only, so the fixpoint is unchanged.
+    // feed is announce-only, so the fixpoint is unchanged; nothing is
+    // published until finish_streamed_feed().
     fabric_.run_to_convergence();
     streamed_since_flush_ = 0;
   }
@@ -346,7 +349,7 @@ void VnsNetwork::finish_streamed_feed() {
   if (known_prefixes_.insert(config_.anycast_prefix, true)) {
     known_log_.push_back(config_.anycast_prefix);
   }
-  fabric_.run_to_convergence();
+  converge();
   streamed_since_flush_ = 0;
   warm_reach_cache();
 }
@@ -369,11 +372,16 @@ void VnsNetwork::feed_routes() {
   finish_streamed_feed();
 }
 
+void VnsNetwork::converge() {
+  fabric_.run_to_convergence();
+  publish_fibs();
+}
+
 void VnsNetwork::set_geo_routing(bool enabled) {
   if (geo_enabled_ == enabled) return;
   geo_enabled_ = enabled;
   fabric_.refresh_policies();
-  fabric_.run_to_convergence();
+  converge();
 }
 
 void VnsNetwork::force_exit(const net::Ipv4Prefix& prefix, PopId pop, bool refresh_now) {
@@ -388,7 +396,7 @@ void VnsNetwork::exempt_prefix(const net::Ipv4Prefix& prefix, bool refresh_now) 
 
 void VnsNetwork::apply_policy_changes() {
   fabric_.refresh_policies();
-  fabric_.run_to_convergence();
+  converge();
 }
 
 void VnsNetwork::add_static_more_specific(const net::Ipv4Prefix& more_specific, PopId pop) {
@@ -400,14 +408,14 @@ void VnsNetwork::add_static_more_specific(const net::Ipv4Prefix& more_specific, 
   attrs.add_community(bgp::kNoExport);
   fabric_.originate(pops_.at(pop).routers[0], more_specific, attrs);
   if (known_prefixes_.insert(more_specific, true)) known_log_.push_back(more_specific);
-  fabric_.run_to_convergence();
+  converge();
 }
 
 void VnsNetwork::clear_overrides() {
   forced_exit_.clear();
   exempt_.clear();
   fabric_.refresh_policies();
-  fabric_.run_to_convergence();
+  converge();
 }
 
 bool VnsNetwork::fail_pop_link(PopId a, PopId b) {
@@ -419,7 +427,7 @@ bool VnsNetwork::fail_pop_link(PopId a, PopId b) {
     return false;
   }
   link.up = false;
-  fabric_.run_to_convergence();
+  converge();
   return true;
 }
 
@@ -432,7 +440,7 @@ bool VnsNetwork::restore_pop_link(PopId a, PopId b) {
     return false;
   }
   link.up = true;
-  fabric_.run_to_convergence();
+  converge();
   return true;
 }
 
@@ -450,7 +458,7 @@ void VnsNetwork::fail_pop(PopId pop_id) {
   // fail_router tears down the PoP's IGP links (the circuits marked above
   // terminate on its primary router) and every BGP session.
   for (const auto router : pops_.at(pop_id).routers) fabric_.fail_router(router);
-  fabric_.run_to_convergence();
+  converge();
 }
 
 void VnsNetwork::restore_pop(PopId pop_id) {
@@ -467,14 +475,14 @@ void VnsNetwork::restore_pop(PopId pop_id) {
     if (attachment.pop == pop_id) restored.push_back(&attachment);
   }
   feed_attachment_routes(restored);
-  fabric_.run_to_convergence();
+  converge();
 }
 
 bool VnsNetwork::fail_upstream(PopId pop_id, int which) {
   const auto& sessions = pops_.at(pop_id).upstream_sessions;
   if (which < 0 || static_cast<std::size_t>(which) >= sessions.size()) return false;
   if (!fabric_.fail_session(sessions[static_cast<std::size_t>(which)])) return false;
-  fabric_.run_to_convergence();
+  converge();
   return true;
 }
 
@@ -483,7 +491,7 @@ bool VnsNetwork::restore_upstream(PopId pop_id, int which) {
   if (which < 0 || static_cast<std::size_t>(which) >= sessions.size()) return false;
   if (!fabric_.restore_session(sessions[static_cast<std::size_t>(which)])) return false;
   feed_session(sessions[static_cast<std::size_t>(which)]);
-  fabric_.run_to_convergence();
+  converge();
   return true;
 }
 
@@ -522,128 +530,131 @@ VnsNetwork::Resolution VnsNetwork::resolve_prefix(const bgp::Router& router,
   return resolution;
 }
 
-void VnsNetwork::compile_viewpoint_fib(ViewpointFib& slot, const bgp::Router& router) const {
+std::shared_ptr<const VnsNetwork::ViewpointFib> VnsNetwork::compile_viewpoint_fib(
+    const bgp::Router& router) const {
   // Compile the viewpoint's resolution table from the converged RIB: one
   // leaf per known prefix, carrying the router's current best route and its
   // egress PoP.  Prefixes whose longest match has no installed route keep a
   // null Resolution so the FIB reproduces the trie-then-hash answer exactly
   // (no fallback to a shorter routed prefix).
+  auto compiled = std::make_shared<ViewpointFib>();
   std::vector<net::FlatFib::Leaf> leaves;
   leaves.reserve(known_prefixes_.size());
-  std::vector<Resolution> values;
-  values.reserve(known_prefixes_.size());
+  compiled->values.reserve(known_prefixes_.size());
   known_prefixes_.for_each([&](const net::Ipv4Prefix& prefix, const bool&) {
-    leaves.push_back({prefix, static_cast<std::uint32_t>(values.size())});
-    values.push_back(resolve_prefix(router, prefix));
+    leaves.push_back({prefix, static_cast<std::uint32_t>(compiled->values.size())});
+    compiled->values.push_back(resolve_prefix(router, prefix));
   });
-  slot.values = std::move(values);
-  slot.fib = net::FlatFib::compile(std::move(leaves));
+  compiled->fib = net::FlatFib::compile(std::move(leaves));
+  return compiled;
 }
 
-const VnsNetwork::ViewpointFib& VnsNetwork::viewpoint_fib(PopId viewpoint) const {
-  ViewpointFib& slot = *fibs_.at(viewpoint);
-  const std::uint64_t want = fabric_.rib_generation();
-  if (slot.generation.load(std::memory_order_acquire) == want) return slot;
-  std::lock_guard<std::mutex> lock(fib_mutex_);
-  if (slot.generation.load(std::memory_order_relaxed) == want) return slot;
-  const bgp::Router& router = fabric_.router(pops_.at(viewpoint).routers[0]);
-  const bgp::Fabric::RibDeltas log = fabric_.rib_deltas_since(
-      slot.delta_cursor.load(std::memory_order_relaxed));
-
-  // Incremental refresh via the RIB-delta protocol: patch only the prefixes
-  // whose resolution can have changed since the last compile.  Falls back to
-  // a full compile when the FIB was never built, the delta log was trimmed
-  // past our cursor, or the dirty fraction exceeds the configured threshold
-  // (past that point patching touches most of the arrays anyway).
-  bool patched = false;
-  if (slot.generation.load(std::memory_order_relaxed) != 0 && log.complete &&
-      config_.fib_patch_max_dirty_fraction >= 0.0) {
-    // This viewpoint's dirty set: deltas of its primary router unioned with
-    // the known-prefix tail its FIB has not seen — a prefix can become known
-    // (and thus owed a leaf, routed or not) without ever touching this
-    // router's Loc-RIB.
-    std::vector<net::Ipv4Prefix> dirty;
-    dirty.reserve(log.deltas.size() + (known_log_.size() - slot.known_cursor));
-    for (const auto& delta : log.deltas) {
-      if (delta.router == router.id()) dirty.push_back(delta.prefix);
-    }
-    for (std::size_t i = slot.known_cursor; i < known_log_.size(); ++i) {
-      dirty.push_back(known_log_[i]);
-    }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    const double fraction =
-        known_prefixes_.size() == 0
-            ? 0.0
-            : static_cast<double>(dirty.size()) /
-                  static_cast<double>(known_prefixes_.size());
-    if (fraction <= config_.fib_patch_max_dirty_fraction) {
-      std::vector<net::FlatFib::Leaf> deltas;
-      deltas.reserve(dirty.size());
-      for (const auto& prefix : dirty) {
-        // Only known prefixes have leaves; a delta for anything else (e.g. a
-        // Loc-RIB entry the compile would not emit) must not add one.
-        if (known_prefixes_.find(prefix) == nullptr) continue;
-        const Resolution resolution = resolve_prefix(router, prefix);
-        if (const net::FlatFib::Leaf* leaf = slot.fib.lookup_exact(prefix)) {
-          // Existing leaf: rewrite the payload in place.  The delta
-          // re-asserts the same value index, so patch() counts it as an
-          // update with zero slot writes.
-          slot.values[leaf->value] = resolution;
-          deltas.push_back({prefix, leaf->value});
-        } else {
-          deltas.push_back({prefix, static_cast<std::uint32_t>(slot.values.size())});
-          slot.values.push_back(resolution);
-        }
-      }
-      slot.fib.patch(deltas);
-      patched = true;
+std::shared_ptr<const VnsNetwork::ViewpointFib> VnsNetwork::patch_viewpoint_fib(
+    const ViewpointFib& previous, const bgp::Router& router,
+    std::span<const net::Ipv4Prefix> dirty) const {
+  auto patched = std::make_shared<ViewpointFib>();
+  patched->values = previous.values;
+  std::vector<net::FlatFib::Leaf> deltas;
+  deltas.reserve(dirty.size());
+  for (const auto& prefix : dirty) {
+    // Only known prefixes have leaves; a delta for anything else (e.g. a
+    // Loc-RIB entry the compile would not emit) must not add one.
+    if (known_prefixes_.find(prefix) == nullptr) continue;
+    const Resolution resolution = resolve_prefix(router, prefix);
+    if (const net::FlatFib::Leaf* leaf = previous.fib.lookup_exact(prefix)) {
+      // Existing leaf: rewrite the payload; re-asserting the same value
+      // index makes the patch an update with zero slot writes.
+      patched->values[leaf->value] = resolution;
+      deltas.push_back({prefix, leaf->value});
+    } else {
+      deltas.push_back({prefix, static_cast<std::uint32_t>(patched->values.size())});
+      patched->values.push_back(resolution);
     }
   }
-  if (!patched) compile_viewpoint_fib(slot, router);
-  slot.delta_cursor.store(log.next_cursor, std::memory_order_relaxed);
-  slot.known_cursor = known_log_.size();
-  slot.generation.store(want, std::memory_order_release);
-  return slot;
+  patched->fib = previous.fib.patched(deltas);
+  return patched;
+}
+
+void VnsNetwork::publish_fibs() {
+  // The writer is the only publisher, so a relaxed load sees its own store.
+  const FibSnapshot& previous = *fib_raw_.load(std::memory_order_relaxed);
+  const std::uint64_t generation = fabric_.rib_generation();
+  if (previous.generation == generation) return;
+  const bgp::Fabric::RibDeltas log = fabric_.rib_deltas_since(previous.delta_cursor);
+  auto next = std::make_shared<FibSnapshot>();
+  next->generation = generation;
+  next->delta_cursor = log.next_cursor;
+  next->known_cursor = known_log_.size();
+  next->fibs.reserve(pops_.size());
+
+  // Via the RIB-delta protocol a viewpoint with nothing dirty shares its
+  // previous FIB and one with a few dirty prefixes gets a patched copy.  A
+  // full compile is the fallback when the FIBs were never built, the delta
+  // log was trimmed past the cursor, or the dirty fraction exceeds the
+  // threshold (past that point patching touches most of the arrays anyway).
+  const bool patchable = previous.generation != 0 && log.complete &&
+                         config_.fib_patch_max_dirty_fraction >= 0.0;
+  // A viewpoint's dirty set: deltas of its primary router unioned with the
+  // known-prefix tail the previous snapshot has not seen — a prefix can
+  // become known (and thus owed a leaf, routed or not) without ever touching
+  // this router's Loc-RIB.
+  std::vector<std::vector<net::Ipv4Prefix>> dirty(pops_.size());
+  for (const auto& delta : patchable ? log.deltas : std::span<const bgp::RibDelta>{}) {
+    const PopId pop = router_pop_[delta.router];
+    if (pop != kNoPop && pops_[pop].routers[0] == delta.router) {
+      dirty[pop].push_back(delta.prefix);
+    }
+  }
+  for (PopId viewpoint = 0; viewpoint < pops_.size(); ++viewpoint) {
+    const bgp::Router& router = fabric_.router(pops_[viewpoint].routers[0]);
+    auto& prefixes = dirty[viewpoint];
+    if (patchable) {
+      prefixes.insert(prefixes.end(),
+                      known_log_.begin() + static_cast<std::ptrdiff_t>(previous.known_cursor),
+                      known_log_.end());
+      std::sort(prefixes.begin(), prefixes.end());
+      prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+    }
+    const double fraction = static_cast<double>(prefixes.size()) /
+                            static_cast<double>(std::max<std::size_t>(known_prefixes_.size(), 1));
+    if (!patchable || fraction > config_.fib_patch_max_dirty_fraction) {
+      next->fibs.push_back(compile_viewpoint_fib(router));
+    } else if (prefixes.empty()) {
+      next->fibs.push_back(previous.fibs[viewpoint]);
+    } else {
+      next->fibs.push_back(patch_viewpoint_fib(*previous.fibs[viewpoint], router, prefixes));
+    }
+  }
+  // Raw pointer first, while the local keeps `next` alive; the previous
+  // snapshot's last holder frees it (here after the lock, or a reader).
+  fib_raw_.store(next.get(), std::memory_order_release);
+  std::shared_ptr<const FibSnapshot> retired;
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  retired = std::exchange(snapshot_, std::move(next));
+}
+
+const FibSnapshot::Resolution* FibSnapshot::resolve(PopId viewpoint,
+                                                    net::Ipv4Address address) const {
+  const ViewpointFib& fib = *fibs.at(viewpoint);
+  const net::FlatFib::Leaf* leaf = fib.fib.lookup(address);
+  return leaf == nullptr ? nullptr : &fib.values[leaf->value];
+}
+
+std::optional<PopId> FibSnapshot::egress_pop(PopId viewpoint,
+                                             net::Ipv4Address address) const {
+  // resolve_prefix leaves pop unset whenever route is null.
+  const Resolution* resolution = resolve(viewpoint, address);
+  if (resolution == nullptr || resolution->pop == kNoPop) return std::nullopt;
+  return resolution->pop;
 }
 
 const bgp::Route* VnsNetwork::route_at(PopId viewpoint, net::Ipv4Address address) const {
-  const ViewpointFib& fib = viewpoint_fib(viewpoint);
-  const net::FlatFib::Leaf* leaf = fib.fib.lookup(address);
-  return leaf == nullptr ? nullptr : fib.values[leaf->value].route;
+  const Resolution* resolution = fib_snapshot_raw()->resolve(viewpoint, address);
+  return resolution == nullptr ? nullptr : resolution->route;
 }
 
 std::optional<PopId> VnsNetwork::egress_pop(PopId viewpoint, net::Ipv4Address address) const {
-  const ViewpointFib& fib = viewpoint_fib(viewpoint);
-  const net::FlatFib::Leaf* leaf = fib.fib.lookup(address);
-  if (leaf == nullptr) return std::nullopt;
-  const Resolution& resolution = fib.values[leaf->value];
-  if (resolution.route == nullptr || resolution.pop == kNoPop) return std::nullopt;
-  return resolution.pop;
-}
-
-std::uint64_t VnsNetwork::viewpoint_fib_generation(PopId viewpoint) const noexcept {
-  return fibs_.at(viewpoint)->generation.load(std::memory_order_acquire);
-}
-
-std::uint64_t VnsNetwork::viewpoint_delta_cursor(PopId viewpoint) const noexcept {
-  return fibs_.at(viewpoint)->delta_cursor.load(std::memory_order_relaxed);
-}
-
-std::optional<PopId> VnsNetwork::egress_pop_stale(PopId viewpoint,
-                                                 net::Ipv4Address address) const noexcept {
-  // Serving-mode probe: answer from whatever FIB is currently published,
-  // stale or not, and never refresh.  Touches only the compiled arrays and
-  // the value slots; the route pointer is null-compared but not
-  // dereferenced, so a Loc-RIB entry freed since the compile cannot be
-  // followed.  The caller guarantees no concurrent refresh of this slot.
-  const ViewpointFib& slot = *fibs_.at(viewpoint);
-  if (slot.generation.load(std::memory_order_acquire) == 0) return std::nullopt;
-  const net::FlatFib::Leaf* leaf = slot.fib.lookup(address);
-  if (leaf == nullptr) return std::nullopt;
-  const Resolution& resolution = slot.values[leaf->value];
-  if (resolution.route == nullptr || resolution.pop == kNoPop) return std::nullopt;
-  return resolution.pop;
+  return fib_snapshot_raw()->egress_pop(viewpoint, address);
 }
 
 RouteExplanation VnsNetwork::explain_route(PopId viewpoint, net::Ipv4Address address) const {
@@ -785,7 +796,7 @@ const bgp::Route* VnsNetwork::local_exit_route(PopId pop, net::Ipv4Address addre
                                                bool upstreams_only) const {
   // LPM through the compiled FIB (same leaf set as known_prefixes_), so the
   // probe campaigns' "exit locally" path shares the data-plane fast path.
-  const net::FlatFib::Leaf* leaf = viewpoint_fib(pop).fib.lookup(address);
+  const net::FlatFib::Leaf* leaf = fib_snapshot_raw()->fibs.at(pop)->fib.lookup(address);
   if (leaf == nullptr) return nullptr;
   const auto& site = pops_.at(pop);
   const bgp::Route* best = nullptr;

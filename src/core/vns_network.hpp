@@ -111,9 +111,9 @@ struct VnsConfig {
   /// announce-only and monotone, so convergence checkpoints commute.
   std::size_t stream_flush_prefixes = 16384;
 
-  /// Incremental FIB refresh threshold: when the fraction of known prefixes
-  /// dirtied since the last compile exceeds this, the lazy rebuild falls
-  /// back to a full DIR-16-8-8 recompile instead of patching (past that
+  /// Incremental FIB publish threshold: when the fraction of known prefixes
+  /// a viewpoint dirtied since the last snapshot exceeds this, its FIB is
+  /// recompiled from scratch (full DIR-16-8-8) instead of patched (past that
   /// point a patch touches most of the arrays anyway and the per-delta
   /// bookkeeping loses).  Negative disables patching entirely (always full
   /// compile) — the equivalence fuzz uses that as its reference world.
@@ -178,6 +178,41 @@ struct RouteExplanation {
   [[nodiscard]] std::string json() const;
 };
 
+/// Every viewpoint's compiled FIB as of one fabric generation (DESIGN §13).
+/// Never modified once published, so a reader holding one keeps getting the
+/// same answers while the fabric moves on.  Viewpoints whose routes did not
+/// change share their FIB with the previous snapshot.
+class FibSnapshot {
+ public:
+  /// Egress PoP chosen at `viewpoint` for an address, as of this snapshot;
+  /// nullopt when unrouted.  Reads only the snapshot, never the fabric.
+  [[nodiscard]] std::optional<PopId> egress_pop(PopId viewpoint,
+                                               net::Ipv4Address address) const;
+
+ private:
+  friend class VnsNetwork;
+  /// Payload of one resolution-FIB leaf: the viewpoint router's best route
+  /// for the leaf prefix and its egress PoP, precomputed at compile time so
+  /// route_at/egress_pop are a single FIB probe.  `route` points into the
+  /// router's Loc-RIB: only route_at reads it, and only from the published
+  /// snapshot, so a held older snapshot never follows a freed route.
+  struct Resolution {
+    const bgp::Route* route = nullptr;
+    PopId pop = kNoPop;
+  };
+  struct ViewpointFib {
+    net::FlatFib fib;
+    std::vector<Resolution> values;
+  };
+  /// The leaf payload covering `address` at `viewpoint`, or nullptr.
+  [[nodiscard]] const Resolution* resolve(PopId viewpoint, net::Ipv4Address address) const;
+
+  std::uint64_t generation = 0;    ///< fabric rib_generation() compiled from (0 = never)
+  std::uint64_t delta_cursor = 0;  ///< RIB-delta log position it reflects
+  std::size_t known_cursor = 0;    ///< known-prefix log length it reflects
+  std::vector<std::shared_ptr<const ViewpointFib>> fibs;  ///< indexed by PopId
+};
+
 class VnsNetwork {
  public:
   /// Builds the network against a generated Internet and GeoIP database.
@@ -210,6 +245,11 @@ class VnsNetwork {
   /// feed_routes() does after its announcement sweep.
   void finish_streamed_feed();
 
+  /// Runs the fabric to convergence and publishes the next FIB snapshot, the
+  /// only place viewpoint FIBs are built.  Every mutator below ends with it;
+  /// callers that mutate fabric() directly must call it before querying.
+  void converge();
+
   /// Turns the geo-based cold-potato policy on/off (route-refresh + converge).
   /// The network starts with it off — the §4.2 "before" state.
   void set_geo_routing(bool enabled);
@@ -230,7 +270,7 @@ class VnsNetwork {
   void clear_overrides();
 
   // --- failure injection (§3.1 resilience) -----------------------------------
-  // Each fault/repair emits the resulting BGP storm and reconverges before
+  // Each fault/repair emits the resulting BGP storm and converges before
   // returning; internal_path / internal_rtt_ms / egress_pop then answer
   // against the degraded network.  Overlapping PoP faults restore what the
   // matching fail_* took down, so fail/restore pairs should nest.
@@ -275,26 +315,20 @@ class VnsNetwork {
   /// Egress PoP chosen at `viewpoint` for an address.
   [[nodiscard]] std::optional<PopId> egress_pop(PopId viewpoint, net::Ipv4Address address) const;
 
-  // --- serving-mode observability (serve::Engine) ----------------------------
-  /// The fabric generation `viewpoint`'s compiled FIB currently answers for
-  /// (0 = never compiled).  Lock-free; comparing against
-  /// fabric().rib_generation() tells whether the next fresh query will have
-  /// to patch/rebuild.
-  [[nodiscard]] std::uint64_t viewpoint_fib_generation(PopId viewpoint) const noexcept;
-  /// Position in the fabric's RIB-delta log up to which `viewpoint`'s FIB
-  /// has applied deltas.  Lock-free; the serve engine derives its
-  /// freshness-lag metric from how far this cursor trails the log head.
-  [[nodiscard]] std::uint64_t viewpoint_delta_cursor(PopId viewpoint) const noexcept;
-  /// Serving-mode probe: answers from `viewpoint`'s *currently compiled* FIB
-  /// without checking freshness or refreshing — never touches fabric RIB
-  /// state, so it is safe while the control plane is mutating, when the
-  /// regular egress_pop would have to refresh against in-flux RIBs.  May
-  /// serve the last published (stale) answer; nullopt when the viewpoint was
-  /// never compiled or holds no route.  Caller contract (the serve engine's
-  /// world gate enforces it): no concurrent *refresh* of the same viewpoint —
-  /// stale probes and fresh queries must not overlap on a mutating slot.
-  [[nodiscard]] std::optional<PopId> egress_pop_stale(PopId viewpoint,
-                                                     net::Ipv4Address address) const noexcept;
+  // --- published FIB snapshot (serve::Engine) -------------------------------
+  /// The published snapshot, for readers that keep serving while the writer
+  /// converges: hold it and reload when fib_snapshot_raw() moves.  The
+  /// writer never waits for holders; the last one frees it.
+  [[nodiscard]] std::shared_ptr<const FibSnapshot> fib_snapshot() const {
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    return snapshot_;
+  }
+  /// Address of the published snapshot (one acquire load, no refcount).
+  /// route_at, egress_pop and local_exit_route read through it, so they
+  /// must not run concurrently with a mutator.
+  [[nodiscard]] const FibSnapshot* fib_snapshot_raw() const noexcept {
+    return fib_raw_.load(std::memory_order_acquire);
+  }
 
   /// Full provenance of the egress choice at `viewpoint` for an address:
   /// chosen egress PoP, the RFC-4271 rung that picked it (the geo local-pref
@@ -395,41 +429,20 @@ class VnsNetwork {
   }
 
   // --- compiled data plane ----------------------------------------------------
-  /// Payload of one resolution-FIB leaf: the viewpoint router's best route
-  /// for the leaf prefix and its egress PoP, precomputed at compile time so
-  /// route_at/egress_pop are a single FIB probe.  `route` points into the
-  /// router's Loc-RIB (node-stable); any RIB mutation bumps the fabric
-  /// generation and retires this FIB before the pointer can dangle.
-  struct Resolution {
-    const bgp::Route* route = nullptr;
-    PopId pop = kNoPop;
-  };
-  /// One viewpoint's compiled FIB.  `generation` is the fabric
-  /// rib_generation() it was compiled from (0 = never); readers acquire it,
-  /// the rebuilder release-stores it after publishing fib/values, so
-  /// concurrent campaign threads either see a complete compile or take the
-  /// rebuild mutex themselves.
-  struct ViewpointFib {
-    std::atomic<std::uint64_t> generation{0};
-    net::FlatFib fib;
-    std::vector<Resolution> values;
-    /// RIB-delta protocol cursors: position in the fabric's delta log and in
-    /// known_log_ up to which this FIB is current.  Mutated only under
-    /// fib_mutex_; delta_cursor is atomic (relaxed) so the serve engine can
-    /// observe freshness lag without taking the rebuild mutex.
-    std::atomic<std::uint64_t> delta_cursor{0};
-    std::size_t known_cursor = 0;
-  };
-  /// Returns the viewpoint's FIB, refreshing it first if the fabric's
-  /// rib_generation() has moved since it was last built: patched in place
-  /// from the RIB-delta log when the dirty fraction is small, recompiled
-  /// from scratch otherwise.
-  [[nodiscard]] const ViewpointFib& viewpoint_fib(PopId viewpoint) const;
+  using Resolution = FibSnapshot::Resolution;
+  using ViewpointFib = FibSnapshot::ViewpointFib;
+  /// Builds the next FibSnapshot from the converged RIBs and publishes it.
+  void publish_fibs();
   /// Recomputes the Resolution payload for one known prefix at a viewpoint.
   [[nodiscard]] Resolution resolve_prefix(const bgp::Router& router,
                                           const net::Ipv4Prefix& prefix) const;
-  /// Full from-scratch compile of one viewpoint FIB (under fib_mutex_).
-  void compile_viewpoint_fib(ViewpointFib& slot, const bgp::Router& router) const;
+  /// Full from-scratch compile of one viewpoint FIB.
+  [[nodiscard]] std::shared_ptr<const ViewpointFib> compile_viewpoint_fib(
+      const bgp::Router& router) const;
+  /// `previous` with the `dirty` prefixes re-resolved, as a patched copy.
+  [[nodiscard]] std::shared_ptr<const ViewpointFib> patch_viewpoint_fib(
+      const ViewpointFib& previous, const bgp::Router& router,
+      std::span<const net::Ipv4Prefix> dirty) const;
 
   /// Reachability of neighbor AS `as` from every AS (lazily cached).
   struct NeighborReach {
@@ -451,9 +464,12 @@ class VnsNetwork {
   std::unordered_map<std::string, PopId, NameHash, std::equal_to<>> pop_by_name_;
   std::unordered_map<std::uint64_t, std::size_t> link_index_;  ///< pop_pair_key -> links_
 
-  /// Lazily compiled per-viewpoint FIBs (pure caches of fabric RIB state).
-  mutable std::vector<std::unique_ptr<ViewpointFib>> fibs_;
-  mutable std::mutex fib_mutex_;  ///< serializes rebuilds (rare; probes are lock-free)
+  /// The published snapshot's owner and its address; publish_fibs() stores
+  /// both.  The mutex only guards copies and swaps of the owner: libstdc++
+  /// 12's atomic<shared_ptr> is a spin lock whose load TSan reports as racy.
+  mutable std::mutex snapshot_mutex_;
+  std::shared_ptr<const FibSnapshot> snapshot_;
+  std::atomic<const FibSnapshot*> fib_raw_{nullptr};
 
   bool geo_enabled_ = false;
   topo::AsIndex us_centred_ltp_ = topo::kNoAs;

@@ -99,6 +99,12 @@ void FlatFib::release_footprint() noexcept {
   }
 }
 
+std::size_t FlatFib::resident_bytes() const noexcept {
+  return root_.capacity() * sizeof(std::uint32_t) +
+         tables_.capacity() * sizeof(std::array<std::uint32_t, 256>) +
+         leaves_.capacity() * sizeof(Leaf) + exact_.capacity() * sizeof(std::uint32_t);
+}
+
 FlatFib FlatFib::compile(std::vector<Leaf> leaves) {
   FlatFib fib;
   fib.leaves_ = std::move(leaves);
@@ -192,10 +198,7 @@ void FlatFib::finish_compile() {
 
   stats_.entries = leaves_.size();
   stats_.spill_tables = tables_.size();
-  stats_.bytes = root_.capacity() * sizeof(std::uint32_t) +
-                 tables_.capacity() * sizeof(std::array<std::uint32_t, 256>) +
-                 leaves_.capacity() * sizeof(Leaf) +
-                 exact_.capacity() * sizeof(std::uint32_t);
+  stats_.bytes = resident_bytes();
   stats_.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   FlatFibMetrics::global().record_build(stats_);
@@ -281,7 +284,22 @@ void FlatFib::insert_leaf(const Leaf& leaf, std::size_t exact_pos, PatchStats& o
 }
 
 FlatFib::PatchStats FlatFib::patch(std::span<const Leaf> deltas) {
+  return apply_patch(deltas, std::chrono::steady_clock::now());
+}
+
+FlatFib FlatFib::patched(std::span<const Leaf> deltas) const {
   const auto start = std::chrono::steady_clock::now();
+  FlatFib copy;  // zero stats: the patch registers the copy's whole footprint
+  copy.root_ = root_;
+  copy.tables_ = tables_;
+  copy.leaves_ = leaves_;
+  copy.exact_ = exact_;
+  copy.apply_patch(deltas, start);
+  return copy;
+}
+
+FlatFib::PatchStats FlatFib::apply_patch(std::span<const Leaf> deltas,
+                                         std::chrono::steady_clock::time_point start) {
   assert(compiled());
   const FlatFibStats released = stats_;
   PatchStats result;
@@ -304,10 +322,7 @@ FlatFib::PatchStats FlatFib::patch(std::span<const Leaf> deltas) {
 
   stats_.entries = leaves_.size();
   stats_.spill_tables = tables_.size();
-  stats_.bytes = root_.capacity() * sizeof(std::uint32_t) +
-                 tables_.capacity() * sizeof(std::array<std::uint32_t, 256>) +
-                 leaves_.capacity() * sizeof(Leaf) +
-                 exact_.capacity() * sizeof(std::uint32_t);
+  stats_.bytes = resident_bytes();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   stats_.build_seconds += seconds;

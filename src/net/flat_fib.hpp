@@ -14,14 +14,16 @@
 //
 // A FlatFib is a pure cache: it is compiled from a converged RIB snapshot
 // and, when the owner detects a stale generation, either *patched* in place
-// (`patch`: only the root slots / spill tables covered by the changed
-// prefixes are rewritten) or rebuilt from scratch.  Either way it never
-// answers differently from the trie it was compiled from (the equivalence
-// property is enforced by tests/test_fib.cpp and the FibPatch churn fuzz).
+// or into a copy (`patch` / `patched`: only the root slots / spill tables
+// covered by the changed prefixes are rewritten) or rebuilt from scratch.
+// Either way it never answers differently from the trie it was compiled
+// from (the equivalence property is enforced by tests/test_fib.cpp and the
+// FibPatch churn fuzz).
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -153,6 +155,12 @@ class FlatFib {
   /// full compile path does for known-but-unrouted prefixes.
   PatchStats patch(std::span<const Leaf> deltas);
 
+  /// Copy-on-write patch(): a new instance holding this one's arrays with
+  /// `deltas` applied, leaving this instance untouched for readers that
+  /// still hold it.  Accounted as one patch whose seconds include the copy
+  /// and whose footprint is the whole copy's.
+  [[nodiscard]] FlatFib patched(std::span<const Leaf> deltas) const;
+
   /// Exact-match probe: the stored leaf for `prefix` (address AND length
   /// equal), or nullptr.  Binary search over the sorted exact index.
   [[nodiscard]] const Leaf* lookup_exact(const Ipv4Prefix& prefix) const noexcept;
@@ -185,6 +193,11 @@ class FlatFib {
   static constexpr std::uint32_t kEmpty = kIndexMask;
 
   void release_footprint() noexcept;
+  /// Resident bytes of the compiled arrays (capacity, not size).
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+  /// patch() body; `start` lets patched() charge its copy to the patch.
+  PatchStats apply_patch(std::span<const Leaf> deltas,
+                         std::chrono::steady_clock::time_point start);
   /// Compiles leaves_ (already populated) into the slot arrays and
   /// registers the footprint; shared by every compile entry point.
   void finish_compile();

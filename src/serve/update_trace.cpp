@@ -344,4 +344,24 @@ std::optional<UpdateTrace> load_trace(std::istream& in) {
   return trace;
 }
 
+std::optional<std::string> validate_trace(const UpdateTrace& trace,
+                                          const core::VnsNetwork& vns) {
+  const std::uint64_t sessions = vns.fabric().neighbor_count();
+  const std::uint64_t pops = vns.pops().size();
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const UpdateEvent& e = trace.events[i];
+    const bool route = e.op == UpdateOp::kAnnounce || e.op == UpdateOp::kWithdraw;
+    const bool link = e.op == UpdateOp::kLinkDown || e.op == UpdateOp::kLinkUp;
+    std::string bad;
+    if (route && e.session >= sessions) bad = "session " + std::to_string(e.session);
+    if (!route && e.a >= pops) bad = "pop " + std::to_string(e.a);
+    if (link && e.b >= pops) bad = "pop " + std::to_string(e.b);
+    if (!bad.empty()) {
+      return "event " + std::to_string(i) + " (" + to_string(e.op) + ") names " + bad +
+             ", which the network lacks";
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace vns::serve

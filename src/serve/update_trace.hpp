@@ -87,4 +87,10 @@ void save_trace(const UpdateTrace& trace, std::ostream& out);
 /// (missing header, unknown op, bad field).
 [[nodiscard]] std::optional<UpdateTrace> load_trace(std::istream& in);
 
+/// Checks every event's session and PoP ids against `vns` (a hand-edited
+/// trace may name ids it lacks): a one-line reason for the first bad event,
+/// or nullopt when every event can be applied.
+[[nodiscard]] std::optional<std::string> validate_trace(const UpdateTrace& trace,
+                                                        const core::VnsNetwork& vns);
+
 }  // namespace vns::serve

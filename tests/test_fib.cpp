@@ -1,7 +1,7 @@
 // Tests for the compiled data plane (net::FlatFib): unit-level DIR-16-8-8
 // behaviour, FIB/trie longest-prefix-match equivalence, churn-safe
-// invalidation through Fabric::rib_generation(), concurrent lazy rebuilds
-// (the TSan target), and the GeoIP fast path.  The FIB is a pure cache —
+// invalidation through Fabric::rib_generation(), concurrent reads of the
+// published snapshot (the TSan target), and the GeoIP fast path.  The FIB is a pure cache —
 // every test here asserts it never answers differently from the trie + RIB
 // state it was compiled from.
 #include <gtest/gtest.h>
@@ -574,8 +574,8 @@ TEST(Fib, ConcurrentLazyRebuildIsRaceFree) {
   auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
   auto& vns = world->vns();
 
-  // Invalidate every viewpoint FIB, then resolve concurrently: the first
-  // probes of each viewpoint race to recompile (TSan checks the publish).
+  // Republish every viewpoint FIB, then resolve concurrently from the
+  // snapshot the writer published (TSan checks the publish).
   vns.set_geo_routing(true);
   const auto pool = make_probe_pool(*world, 2'048);
 

@@ -182,7 +182,7 @@ TEST(FailureInjection, UpstreamSessionWithdrawalFailsOver) {
 
   // The neighbor withdraws the route (session failure for this prefix).
   w.vns().fabric().withdraw(session, info.prefix);
-  w.vns().fabric().run_to_convergence();
+  w.vns().converge();
 
   const auto* after = w.vns().route_at(0, address);
   ASSERT_NE(after, nullptr) << "no failover route";
@@ -192,7 +192,7 @@ TEST(FailureInjection, UpstreamSessionWithdrawalFailsOver) {
   bgp::Attributes attrs;
   attrs.as_path = route->attrs().as_path;
   w.vns().fabric().announce(session, info.prefix, attrs);
-  w.vns().fabric().run_to_convergence();
+  w.vns().converge();
   EXPECT_NE(w.vns().route_at(0, address), nullptr);
 }
 
@@ -203,7 +203,7 @@ TEST(FailureInjection, WithdrawEverywhereLeavesPrefixUnrouted) {
   for (const auto& attachment : w.vns().attachments()) {
     w.vns().fabric().withdraw(attachment.session, info.prefix);
   }
-  w.vns().fabric().run_to_convergence();
+  w.vns().converge();
   EXPECT_EQ(w.vns().route_at(0, info.prefix.first_host()), nullptr);
 }
 

@@ -15,7 +15,8 @@
 //                    at most 1e9
 //   --qps Q          per-resolver probe rate (0 = unthrottled, else >= 1e-9)
 //   --record FILE    generate the trace, save it to FILE, then run it
-//   --replay FILE    load the trace from FILE instead of generating one
+//   --replay FILE    load the trace from FILE instead of generating one; a
+//                    trace naming a session or PoP the world lacks exits 2
 //   --dump-state F   write the canonical final fabric state dump to F —
 //                    byte-compare two runs to verify replay determinism
 //
@@ -163,6 +164,10 @@ int main(int argc, char** argv) {
     if (!loaded) {
       std::cerr << "vns_serve: malformed trace " << args->replay_path << "\n";
       return 1;
+    }
+    if (const auto error = serve::validate_trace(*loaded, world->vns())) {
+      std::cerr << "vns_serve: invalid trace " << args->replay_path << ": " << *error << "\n";
+      return 2;
     }
     trace = std::move(*loaded);
   } else {
